@@ -2,14 +2,14 @@
 //
 // Extension bench (paper §7.3 future work): the hybrid optimizer. Compares
 // total workload execution time of pure-PostgreSQL, pure-neural
-// (QPSeeker+MCTS for every query), and the hybrid router across complexity
-// thresholds, on a mixed IMDb workload spanning 0-5 joins. Also reports
+// (QPSeeker+MCTS for every query), and the hybrid router (the "guarded"
+// ladder planner) across complexity thresholds, on a mixed IMDb workload spanning 0-5 joins. Also reports
 // the bushy-sampling extension's effect on prediction quality.
 
 #include <cstdio>
 
 #include "bench/harness.h"
-#include "core/hybrid.h"
+#include "core/planner_backends.h"
 #include "util/logging.h"
 
 namespace qps {
@@ -57,16 +57,16 @@ int Run() {
               neural_run.failures);
 
   for (int threshold : {3, 4, 5}) {
-    core::HybridOptions hopts;
-    hopts.neural_min_relations = threshold;
-    hopts.mcts.time_budget_ms = 200.0;
-    core::HybridPlanner hybrid(&seeker, &pg, hopts);
+    core::GuardedOptions gopts;
+    gopts.hybrid.neural_min_relations = threshold;
+    gopts.hybrid.mcts.time_budget_ms = 200.0;
+    auto hybrid = core::MakePlanner("guarded", &seeker, &pg, gopts).value();
     exec::Executor ex(*env.imdb);
     double total = 0.0;
     int fails = 0, routed = 0;
     for (size_t i = 0; i < eval_queries.size(); ++i) {
       const auto& q = eval_queries[i];
-      auto result = hybrid.Plan(q);
+      auto result = hybrid->Plan(q, {});
       if (!result.ok()) {
         ++fails;
         continue;

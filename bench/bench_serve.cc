@@ -484,7 +484,7 @@ void RunChaosPhase(const core::QpSeeker& model, optimizer::Planner* baseline,
         tally(sharded->Submit(std::move(request)).get());
         const auto health = sharded->TenantHealth(faulty);
         const bool quarantined =
-            health.ok() && health->state != serve::HealthState::kClosed;
+            health.ok() && health->state != core::HealthState::kClosed;
         if (chaos && !seen && quarantined) {
           seen = true;
           *quarantine_ms = armed.ElapsedMillis();
@@ -535,7 +535,7 @@ void RunChaosPhase(const core::QpSeeker& model, optimizer::Planner* baseline,
     const uint64_t salt = static_cast<uint64_t>(round);
     const double calm_p99 = run_trial(false, 2 * salt, nullptr);
     QPS_CHECK(sharded->TenantHealth(faulty)->state ==
-              serve::HealthState::kClosed);
+              core::HealthState::kClosed);
 
     double quarantine_ms = -1.0;
     const double chaos_p99 = run_trial(true, 2 * salt + 1, &quarantine_ms);
@@ -557,7 +557,7 @@ void RunChaosPhase(const core::QpSeeker& model, optimizer::Planner* baseline,
       request.seed = seed++;
       tally(sharded->Submit(std::move(request)).get());
       const auto health = sharded->TenantHealth(faulty);
-      if (health.ok() && health->state == serve::HealthState::kClosed) {
+      if (health.ok() && health->state == core::HealthState::kClosed) {
         recovery_ms = disarm.ElapsedMillis();
         break;
       }

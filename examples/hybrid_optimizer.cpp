@@ -5,13 +5,14 @@
 // optimizers have trouble". Routes a mixed OLTP-ish/analytical workload
 // between the DP baseline (simple queries) and QPSeeker+MCTS (complex
 // queries), and reports where each path was taken and the end-to-end
-// execution time against either pure strategy.
+// execution time against either pure strategy. The router is the
+// "guarded" ladder planner; with a healthy model it never degrades.
 //
 // Run: ./build/examples/hybrid_optimizer
 
 #include <cstdio>
 
-#include "core/hybrid.h"
+#include "core/planner_backends.h"
 #include "core/qpseeker.h"
 #include "eval/workloads.h"
 #include "exec/executor.h"
@@ -54,10 +55,10 @@ int main() {
   auto eval_queries = eval::GenerateWorkload(*db, eo, &erng);
 
   optimizer::Planner baseline(*db, *stats);
-  core::HybridOptions hopts;
-  hopts.neural_min_relations = 4;
-  hopts.mcts.time_budget_ms = 150.0;
-  core::HybridPlanner hybrid(&seeker, &baseline, hopts);
+  core::GuardedOptions gopts;
+  gopts.hybrid.neural_min_relations = 4;
+  gopts.hybrid.mcts.time_budget_ms = 150.0;
+  auto hybrid = core::MakePlanner("guarded", &seeker, &baseline, gopts).value();
 
   exec::Executor ex(*db);
   auto execute = [&](const query::Query& q, query::PlanNode* plan) {
@@ -71,9 +72,9 @@ int main() {
               "hybrid ms", "PG ms", "neural ms");
   for (size_t i = 0; i < eval_queries.size(); ++i) {
     const auto& q = eval_queries[i];
-    auto h = hybrid.Plan(q);
+    auto h = hybrid->Plan(q, {});
     auto p = baseline.Plan(q);
-    core::MctsOptions mopts = hopts.mcts;
+    core::MctsOptions mopts = gopts.hybrid.mcts;
     mopts.seed = 200 + i;
     auto n = core::MctsPlan(seeker, q, mopts);
     if (!h.ok() || !p.ok() || !n.ok()) continue;

@@ -7,7 +7,7 @@
 //
 // Usage:
 //   qpsql [--db=imdb|stack|toy] [--rows=N]
-//         [--planner=baseline|neural|hybrid|guarded] [--train-queries=N]
+//         [--planner=baseline|neural|guarded] [--train-queries=N]
 //         [--seed=N] [--v=N] [--threads=N] [--cache-mb=N]
 //         [--quant=int8] [--deadline-ms=D]
 //         [--retry-max=N] [--retry-backoff-ms=D]
@@ -340,7 +340,7 @@ void PrintHealth(const serve::ShardedPlanService& sharded) {
               "win att", "win fail", "quarant", "probes", "recov");
   for (const auto& [key, s] : all) {
     std::printf("%-16s %-10s %10lld %10lld %8lld %7lld %7lld\n", key.c_str(),
-                serve::HealthStateName(s.state),
+                core::HealthStateName(s.state),
                 static_cast<long long>(s.window_attempts),
                 static_cast<long long>(s.window_failures),
                 static_cast<long long>(s.quarantines),
@@ -745,7 +745,8 @@ int main(int argc, char** argv) {
     if (sql == "\\guards") {
       std::printf("%s\n", planner->guard_stats().ToString().c_str());
       if (auto* guarded = dynamic_cast<core::GuardedPlanner*>(planner.get())) {
-        std::printf("circuit: %s\n", guarded->circuit_open() ? "OPEN" : "closed");
+        std::printf("circuit: %s\n",
+                    core::HealthStateName(guarded->circuit_state()));
       }
       continue;
     }

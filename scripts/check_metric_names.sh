@@ -63,6 +63,22 @@ while IFS= read -r name; do
           ;;
       esac
       ;;
+    # The ladder family is closed: breaker transitions are counted once,
+    # by the qps.health.* series of the ladder's breaker key.
+    qps.guarded.*)
+      member="${name#qps.guarded.}"
+      member="${member%%.*}"
+      case "$member" in
+        requests|served_neural|served_greedy|served_traditional|fallbacks|\
+        circuit_short_circuits|plan_ms|stage) ;;
+        *)
+          echo "unknown qps.guarded.* member: $name (allowed: requests" \
+               "served_neural served_greedy served_traditional fallbacks" \
+               "circuit_short_circuits plan_ms stage)" >&2
+          bad=1
+          ;;
+      esac
+      ;;
     qps.serve.retries.*)
       member="${name#qps.serve.retries.}"
       member="${member%%.*}"

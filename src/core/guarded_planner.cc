@@ -8,17 +8,11 @@
 #include "obs/window.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/string_util.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
 namespace qps {
 namespace core {
-
-GuardedPlanner::GuardedPlanner(const QpSeeker* model,
-                               const optimizer::Planner* baseline,
-                               GuardedOptions options)
-    : model_(model), baseline_(baseline), options_(std::move(options)) {}
 
 namespace {
 
@@ -27,10 +21,7 @@ struct GuardMetrics {
   metrics::Counter* requests;
   metrics::Counter* served[3];  ///< indexed by PlanStage
   metrics::Counter* fallbacks;
-  metrics::Counter* circuit_opens;
-  metrics::Counter* circuit_closes;
   metrics::Counter* circuit_short_circuits;
-  metrics::Gauge* circuit_open;
   metrics::Histogram* plan_ms;
   /// Windowed ladder mix: which rung served recent traffic. Feeds the
   /// "ladder" panel in qps_top and the Prometheus _window_rate series.
@@ -47,11 +38,8 @@ struct GuardMetrics {
       out.served[1] = reg.GetCounter("qps.guarded.served_greedy");
       out.served[2] = reg.GetCounter("qps.guarded.served_traditional");
       out.fallbacks = reg.GetCounter("qps.guarded.fallbacks");
-      out.circuit_opens = reg.GetCounter("qps.guarded.circuit_opens");
-      out.circuit_closes = reg.GetCounter("qps.guarded.circuit_closes");
       out.circuit_short_circuits =
           reg.GetCounter("qps.guarded.circuit_short_circuits");
-      out.circuit_open = reg.GetGauge("qps.guarded.circuit_open");
       out.plan_ms = reg.GetHistogram("qps.guarded.plan_ms");
       out.stage_window[0] = win.GetCounter("qps.guarded.stage.neural");
       out.stage_window[1] = win.GetCounter("qps.guarded.stage.greedy");
@@ -63,48 +51,55 @@ struct GuardMetrics {
   }
 };
 
+/// A blown neural deadline counts as a failure once planning overruns
+/// this multiple of GuardedOptions::neural_deadline_ms.
+constexpr double kDeadlineSlack = 4.0;
+
+/// Breaker key of one tenant's ladder, so tenants sharing a process never
+/// share a qps.health.* series.
+std::string LadderKey(const std::string& tenant_id) {
+  return tenant_id.empty() ? "neural" : "neural_" + tenant_id;
+}
+
 }  // namespace
 
-void GuardedPlanner::RecordNeuralOutcome(bool success) {
-  window_.push_back(!success);
-  while (static_cast<int>(window_.size()) > options_.breaker_window) {
-    window_.pop_front();
-  }
-  const int failures =
-      static_cast<int>(std::count(window_.begin(), window_.end(), true));
-  if (!circuit_open_ && failures >= options_.breaker_threshold) {
-    circuit_open_ = true;
-    circuit_opened_at_ms_ = NowMs();
-    stats_.circuit_opens += 1;
-    window_.clear();
-    GuardMetrics::Get().circuit_opens->Increment();
-    GuardMetrics::Get().circuit_open->Set(1.0);
-    QPS_VLOG(1) << "guarded: circuit OPEN after " << failures << " failures in "
-                << options_.breaker_window << "-request window";
+std::shared_ptr<HealthMonitor> MakeLadderBreaker(const Clock* clock) {
+  HealthOptions hopts;
+  hopts.clock = clock;
+  return std::make_shared<HealthMonitor>(hopts);
+}
+
+GuardedPlanner::GuardedPlanner(const QpSeeker* model,
+                               const optimizer::Planner* baseline,
+                               GuardedOptions options)
+    : model_(model), baseline_(baseline), options_(std::move(options)) {
+  if (options_.breaker == nullptr) {
+    options_.breaker = MakeLadderBreaker(options_.clock);
   }
 }
 
-void GuardedPlanner::MaybeCloseCircuit() {
-  if (!circuit_open_) return;
-  if (NowMs() - circuit_opened_at_ms_ >= options_.breaker_cooldown_ms) {
-    circuit_open_ = false;
-    stats_.circuit_closes += 1;
-    GuardMetrics::Get().circuit_closes->Increment();
-    GuardMetrics::Get().circuit_open->Set(0.0);
-    QPS_VLOG(1) << "guarded: circuit closed after "
-                << options_.breaker_cooldown_ms << "ms cool-down";
+GuardStats GuardedPlanner::guard_stats() const {
+  GuardStats out = stats_;
+  for (const auto& [key, s] : options_.breaker->AllStats()) {
+    out.circuit_opens += s.quarantines;
+    out.circuit_closes += s.recoveries;
   }
+  return out;
+}
+
+HealthState GuardedPlanner::circuit_state(const std::string& tenant_id) const {
+  return options_.breaker->state(LadderKey(tenant_id));
 }
 
 Status GuardedPlanner::TryNeural(const query::Query& q,
                                  const PlanRequestOptions& ropts,
-                                 GuardedResult* out) {
+                                 PlanResult* out) {
   QPS_TRACE_SPAN("guarded.neural");
   stats_.neural_attempts += 1;
   MctsOptions mopts = options_.hybrid.mcts;
   if (options_.neural_deadline_ms > 0.0) {
     mopts.time_budget_ms = std::min(mopts.time_budget_ms, options_.neural_deadline_ms);
-    mopts.hard_deadline_ms = options_.neural_deadline_ms * options_.deadline_slack;
+    mopts.hard_deadline_ms = options_.neural_deadline_ms * kDeadlineSlack;
   }
   mopts.deadline_ms = ropts.deadline_ms;
   if (ropts.seed != 0) mopts.seed = ropts.seed;
@@ -126,26 +121,25 @@ Status GuardedPlanner::TryNeural(const query::Query& q,
     stats_.neural_nan += 1;
     return Status::Internal("non-finite MCTS plan score");
   }
-  if (options_.validate_plans) {
-    Status valid = query::ValidatePlan(q, *mcts->plan);
-    if (!valid.ok()) {
-      stats_.neural_invalid_plan += 1;
-      return valid;
-    }
+  Status valid = query::ValidatePlan(q, *mcts->plan);
+  if (!valid.ok()) {
+    stats_.neural_invalid_plan += 1;
+    return valid;
   }
   stats_.neural_success += 1;
+  out->node_stats = mcts->plan->estimated;
+  out->node_stats.runtime_ms = mcts->predicted_runtime_ms;
   out->plan = std::move(mcts->plan);
   out->stage = PlanStage::kNeural;
   out->used_neural = true;
   out->plans_evaluated = mcts->plans_evaluated;
-  out->predicted_runtime_ms = mcts->predicted_runtime_ms;
   out->deadline_hit = mcts->deadline_hit;
   return Status::OK();
 }
 
 Status GuardedPlanner::TryGreedy(const query::Query& q,
                                  const PlanRequestOptions& ropts,
-                                 GuardedResult* out) {
+                                 PlanResult* out) {
   QPS_TRACE_SPAN("guarded.greedy");
   stats_.greedy_attempts += 1;
   auto greedy = GreedyPlan(*model_, q, ropts.evaluate, ropts.cancel);
@@ -153,33 +147,35 @@ Status GuardedPlanner::TryGreedy(const query::Query& q,
   if (st.ok() && !std::isfinite(greedy->predicted_runtime_ms)) {
     st = Status::Internal("non-finite greedy plan score");
   }
-  if (st.ok() && options_.validate_plans) st = query::ValidatePlan(q, *greedy->plan);
+  if (st.ok()) st = query::ValidatePlan(q, *greedy->plan);
   if (!st.ok()) {
     stats_.greedy_failures += 1;
     return st;
   }
   stats_.greedy_success += 1;
+  out->node_stats = greedy->plan->estimated;
+  out->node_stats.runtime_ms = greedy->predicted_runtime_ms;
   out->plan = std::move(greedy->plan);
   out->stage = PlanStage::kGreedy;
   out->used_neural = true;
   out->plans_evaluated = greedy->plans_evaluated;
-  out->predicted_runtime_ms = greedy->predicted_runtime_ms;
   return Status::OK();
 }
 
 Status GuardedPlanner::TryTraditional(const query::Query& q,
                                       const PlanRequestOptions& ropts,
-                                      GuardedResult* out) {
+                                      PlanResult* out) {
   QPS_TRACE_SPAN("guarded.traditional");
   stats_.traditional_attempts += 1;
   auto plan = baseline_->Plan(q, {}, ropts.cancel);
   Status st = plan.ok() ? Status::OK() : plan.status();
-  if (st.ok() && options_.validate_plans) st = query::ValidatePlan(q, **plan);
+  if (st.ok()) st = query::ValidatePlan(q, **plan);
   if (!st.ok()) {
     stats_.traditional_failures += 1;
     return st;
   }
   stats_.traditional_success += 1;
+  out->node_stats = (*plan)->estimated;
   out->plan = std::move(*plan);
   out->stage = PlanStage::kTraditional;
   out->used_neural = false;
@@ -187,34 +183,9 @@ Status GuardedPlanner::TryTraditional(const query::Query& q,
   return Status::OK();
 }
 
-StatusOr<GuardedResult> GuardedPlanner::Plan(const query::Query& q) {
-  return PlanGuarded(q, PlanRequestOptions{});
-}
-
 StatusOr<PlanResult> GuardedPlanner::Plan(const query::Query& q,
                                           const PlanRequestOptions& ropts) {
   QPS_RETURN_IF_ERROR(CheckPlannable(q));
-  QPS_ASSIGN_OR_RETURN(GuardedResult guarded, PlanGuarded(q, ropts));
-  if (guarded.deadline_hit && ropts.fail_on_deadline) {
-    return Status::DeadlineExceeded("planning deadline expired");
-  }
-  PlanResult result;
-  result.stage = guarded.stage;
-  result.node_stats = guarded.plan->estimated;
-  if (guarded.stage != PlanStage::kTraditional) {
-    result.node_stats.runtime_ms = guarded.predicted_runtime_ms;
-  }
-  result.plan = std::move(guarded.plan);
-  result.plan_ms = guarded.planning_ms;
-  result.plans_evaluated = guarded.plans_evaluated;
-  result.used_neural = guarded.used_neural;
-  result.deadline_hit = guarded.deadline_hit;
-  result.fallback_reason = std::move(guarded.fallback_reason);
-  return result;
-}
-
-StatusOr<GuardedResult> GuardedPlanner::PlanGuarded(
-    const query::Query& q, const PlanRequestOptions& ropts) {
   // An already-cancelled request never enters the ladder (and never counts
   // against the breaker — cancellation is caller-driven, not model health).
   QPS_RETURN_IF_ERROR(util::CheckCancel(ropts.cancel));
@@ -223,18 +194,23 @@ StatusOr<GuardedResult> GuardedPlanner::PlanGuarded(
   stats_.requests += 1;
   gm.requests->Increment();
   Timer timer(&clock());
-  GuardedResult result;
+  PlanResult result;
 
-  auto serve = [&](GuardedResult&& r) {
-    r.planning_ms = timer.ElapsedMillis();
-    gm.served[static_cast<int>(r.stage)]->Increment();
-    gm.stage_window[static_cast<int>(r.stage)]->Increment();
-    if (!r.fallback_reason.empty()) gm.fallbacks->Increment();
-    gm.plan_ms->Record(r.planning_ms);
-    gm.plan_ms_window->Record(r.planning_ms);
-    span.AddAttr("stage", PlanStageName(r.stage));
-    if (!r.fallback_reason.empty()) span.AddAttr("fallback", r.fallback_reason);
-    return std::move(r);
+  auto serve = [&]() -> StatusOr<PlanResult> {
+    result.plan_ms = timer.ElapsedMillis();
+    gm.served[static_cast<int>(result.stage)]->Increment();
+    gm.stage_window[static_cast<int>(result.stage)]->Increment();
+    if (!result.fallback_reason.empty()) gm.fallbacks->Increment();
+    gm.plan_ms->Record(result.plan_ms);
+    gm.plan_ms_window->Record(result.plan_ms);
+    span.AddAttr("stage", PlanStageName(result.stage));
+    if (!result.fallback_reason.empty()) {
+      span.AddAttr("fallback", result.fallback_reason);
+    }
+    if (result.deadline_hit && ropts.fail_on_deadline) {
+      return Status::DeadlineExceeded("planning deadline expired");
+    }
+    return std::move(result);
   };
 
   const bool neural_eligible =
@@ -242,26 +218,32 @@ StatusOr<GuardedResult> GuardedPlanner::PlanGuarded(
       q.num_relations() >= options_.hybrid.neural_min_relations;
 
   if (neural_eligible) {
-    MaybeCloseCircuit();
-    if (circuit_open_) {
+    HealthMonitor& breaker = *options_.breaker;
+    const std::string key = LadderKey(ropts.tenant_id);
+    const AdmitDecision admit = breaker.Admit(key);
+    if (admit == AdmitDecision::kReject) {
       stats_.circuit_short_circuits += 1;
       gm.circuit_short_circuits->Increment();
       result.fallback_reason = "circuit open";
     } else {
+      const bool probe = admit == AdmitDecision::kProbe;
       Status neural = TryNeural(q, ropts, &result);
       // A rung tripped by the cancel token ends the ladder: degrading a
       // request nobody is waiting for just burns more CPU. The tripped
-      // outcome also stays out of the breaker window — it says nothing
-      // about model health.
-      if (!neural.ok() && util::Cancelled(ropts.cancel)) return neural;
-      RecordNeuralOutcome(neural.ok());
-      if (neural.ok()) return serve(std::move(result));
+      // outcome also stays out of the breaker — it says nothing about
+      // model health.
+      if (!neural.ok() && util::Cancelled(ropts.cancel)) {
+        if (probe) breaker.AbandonProbe(key);
+        return neural;
+      }
+      breaker.Record(key, neural, probe);
+      if (neural.ok()) return serve();
       result.fallback_reason = "neural: " + neural.ToString();
       QPS_VLOG(1) << "guarded: neural rung failed (" << neural.ToString()
                   << "), degrading to greedy";
       Status greedy = TryGreedy(q, ropts, &result);
       if (!greedy.ok() && util::Cancelled(ropts.cancel)) return greedy;
-      if (greedy.ok()) return serve(std::move(result));
+      if (greedy.ok()) return serve();
       result.fallback_reason += "; greedy: " + greedy.ToString();
       QPS_VLOG(1) << "guarded: greedy rung failed (" << greedy.ToString()
                   << "), degrading to traditional";
@@ -270,7 +252,7 @@ StatusOr<GuardedResult> GuardedPlanner::PlanGuarded(
 
   Status traditional = TryTraditional(q, ropts, &result);
   if (!traditional.ok()) return traditional;
-  return serve(std::move(result));
+  return serve();
 }
 
 }  // namespace core

@@ -1,100 +1,92 @@
 // Copyright 2026 The QPSeeker Authors
 //
-// Guarded planning pipeline: HybridPlanner's routing, hardened for serving.
-// A learned planner is only deployable when it degrades gracefully on model
-// misbehavior (paper §7.3's hybrid direction taken to production), so every
-// neural plan is validated and score-checked, and failures walk a
-// degradation ladder:
+// The ladder planner: the paper's §7.3 hybrid direction ("a neural planner
+// kicks in for complex queries where traditional optimizers have trouble
+// handling"), hardened for serving. Simple queries (few relations) go to
+// the statistics-based DP planner, whose estimates are accurate there
+// (Tables 4/5 show PostgreSQL winning on Synthetic); complex queries go to
+// QPSeeker+MCTS. A learned planner is only deployable when it degrades
+// gracefully on model misbehavior, so every plan is validated and
+// score-checked, and a failing neural rung walks a degradation ladder:
 //
 //   neural MCTS (deadline-enforced) -> GreedyPlan -> traditional DP planner
 //
-// A sliding-window circuit breaker watches the primary (MCTS) outcomes:
-// after `breaker_threshold` failures inside the last `breaker_window`
-// attempts the circuit opens and traffic routes straight to the traditional
-// planner for `breaker_cooldown_ms`, then closes and neural planning is
-// retried. All transitions and fallbacks are counted in GuardStats.
+// The neural rung is gated by a core::HealthMonitor breaker (health.h),
+// keyed per tenant: once enough neural attempts fail inside its rolling
+// window the breaker opens and complex queries route straight to the DP
+// planner ("circuit open"); after the cool-down, live requests probe the
+// neural rung again and successful probes close it. All fallbacks are
+// counted in GuardStats.
 //
-// With every fault point disarmed and no failures, the pipeline is
-// behavior-identical to HybridPlanner (same options, same MCTS seed, same
-// plans) — guarded_planner_test asserts byte-identical rendered plans.
+// With every fault point disarmed, each request takes the same rung with
+// the same MCTS seed as plain MctsPlan (complex) or the DP planner (simple)
+// — guarded_planner_test asserts byte-identical rendered plans.
 
 #ifndef QPS_CORE_GUARDED_PLANNER_H_
 #define QPS_CORE_GUARDED_PLANNER_H_
 
-#include <deque>
+#include <memory>
 #include <string>
 
-#include "core/hybrid.h"
+#include "core/health.h"
+#include "core/mcts.h"
+#include "core/planner_api.h"
+#include "optimizer/planner.h"
 #include "util/clock.h"
 
 namespace qps {
 namespace core {
 
+/// Complexity routing for the ladder.
+struct HybridOptions {
+  /// Queries with at least this many relations are planned neurally.
+  int neural_min_relations = 4;
+  MctsOptions mcts;
+};
+
 struct GuardedOptions {
-  /// Routing + MCTS options, exactly as HybridPlanner consumes them.
+  /// Routing + MCTS options.
   HybridOptions hybrid;
 
   /// Planning deadline for the neural path (0 = rely on the MCTS time
   /// budget alone). When set, the MCTS budget is clamped to it and blowing
-  /// `deadline_slack` times the deadline counts as a neural failure.
+  /// four times the deadline counts as a neural failure.
   double neural_deadline_ms = 0.0;
-  double deadline_slack = 4.0;
 
-  /// Run query::ValidatePlan on every plan before returning it.
-  bool validate_plans = true;
-
-  /// Circuit breaker: open after `breaker_threshold` MCTS failures within
-  /// the last `breaker_window` attempts; stay open for
-  /// `breaker_cooldown_ms`, then close and try neural planning again.
-  int breaker_window = 16;
-  int breaker_threshold = 4;
-  double breaker_cooldown_ms = 1000.0;
-
-  /// Injectable time source shared by the breaker cool-down and the
-  /// planning-time Timer (util/clock.h), so tests substitute one
-  /// ManualClock for all of them. nullptr = Clock::Default().
+  /// Injectable time source shared by the breaker and the planning-time
+  /// Timer (util/clock.h), so tests substitute one ManualClock for all of
+  /// them. nullptr = Clock::Default().
   const Clock* clock = nullptr;
+
+  /// Breaker shared by several ladders (PlanService shares one across its
+  /// worker slots). Null = the planner makes its own with
+  /// MakeLadderBreaker(clock).
+  std::shared_ptr<HealthMonitor> breaker;
 };
 
-// PlanStage and GuardStats used to live here; they moved to
-// core/planner_api.h when the unified Planner interface was introduced,
-// since every backend now reports them through PlanResult/guard_stats().
+/// A ladder breaker: HealthOptions defaults on `clock`.
+std::shared_ptr<HealthMonitor> MakeLadderBreaker(const Clock* clock);
 
-struct GuardedResult {
-  query::PlanPtr plan;
-  PlanStage stage = PlanStage::kTraditional;
-  bool used_neural = false;        ///< model consulted (neural or greedy rung)
-  double planning_ms = 0.0;        ///< whole-ladder planning time
-  int plans_evaluated = 0;
-  double predicted_runtime_ms = 0.0;  ///< model score (neural/greedy rungs)
-  bool deadline_hit = false;       ///< request deadline truncated the search
-  std::string fallback_reason;     ///< empty when the first-choice rung served
-};
-
-/// HybridPlanner with guard rails. Routing is identical (simple queries go
-/// to the DP baseline directly and are not breaker-relevant); complex
-/// queries walk the degradation ladder above.
+/// The degradation-ladder planner. Plan() is not thread-safe (per-request
+/// GuardStats); the breaker it consults is.
 class GuardedPlanner : public Planner {
  public:
   GuardedPlanner(const QpSeeker* model, const optimizer::Planner* baseline,
                  GuardedOptions options = {});
 
-  /// Legacy entry point; equivalent to Plan(q, {}) with the ladder detail.
-  StatusOr<GuardedResult> Plan(const query::Query& q);
-
-  /// Unified entry point (core::Planner). Per-request deadline, seed, and
-  /// batch evaluator thread into the neural and greedy rungs.
+  /// Per-request deadline, seed, and batch evaluator thread into the
+  /// neural and greedy rungs; `ropts.tenant_id` picks the breaker key.
   StatusOr<PlanResult> Plan(const query::Query& q,
                             const PlanRequestOptions& ropts) override;
 
   const char* name() const override { return "guarded"; }
-  GuardStats guard_stats() const override { return stats_; }
 
-  const GuardStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = GuardStats{}; }
+  /// This planner's counters, plus the breaker's transitions read from the
+  /// monitor (shared with every planner on the same breaker).
+  GuardStats guard_stats() const override;
 
-  /// True while the breaker routes complex queries to the DP planner.
-  bool circuit_open() const { return circuit_open_; }
+  /// Breaker state of `tenant_id`'s ladder (kClosed before any traffic).
+  HealthState circuit_state(const std::string& tenant_id = "") const;
 
   const GuardedOptions& options() const { return options_; }
 
@@ -102,33 +94,20 @@ class GuardedPlanner : public Planner {
   const Clock& clock() const {
     return options_.clock != nullptr ? *options_.clock : *Clock::Default();
   }
-  double NowMs() const { return clock().NowMillis(); }
-  /// Records one MCTS outcome in the sliding window; may open the circuit.
-  void RecordNeuralOutcome(bool success);
-  /// Closes the circuit when the cool-down has elapsed.
-  void MaybeCloseCircuit();
-
-  /// Shared ladder walk behind both Plan() overloads.
-  StatusOr<GuardedResult> PlanGuarded(const query::Query& q,
-                                      const PlanRequestOptions& ropts);
 
   /// One rung: plan, validate, score-check. Returns the failure reason or
   /// OK with `*out` filled.
   Status TryNeural(const query::Query& q, const PlanRequestOptions& ropts,
-                   GuardedResult* out);
+                   PlanResult* out);
   Status TryGreedy(const query::Query& q, const PlanRequestOptions& ropts,
-                   GuardedResult* out);
+                   PlanResult* out);
   Status TryTraditional(const query::Query& q, const PlanRequestOptions& ropts,
-                        GuardedResult* out);
+                        PlanResult* out);
 
   const QpSeeker* model_;
   const optimizer::Planner* baseline_;
   GuardedOptions options_;
-
   GuardStats stats_;
-  std::deque<bool> window_;  ///< recent MCTS outcomes, true = failure
-  bool circuit_open_ = false;
-  double circuit_opened_at_ms_ = 0.0;
 };
 
 }  // namespace core

@@ -1,11 +1,10 @@
 // Copyright 2026 The QPSeeker Authors
 //
-// The unified planner surface. Four planning backends grew out of the
+// The unified planner surface. Three planning backends grew out of the
 // paper's experiments — the Selinger-style DP baseline, raw MCTS over the
-// learned cost model, the complexity-routed hybrid, and the guarded
-// degradation ladder — each with its own call signature. Everything above
-// them (qpsql, the plan service, the conformance suite) dispatches through
-// this one interface instead:
+// learned cost model, and the complexity-routed, guarded degradation
+// ladder. Everything above them (qpsql, the plan service, the conformance
+// suite) dispatches through this one interface:
 //
 //   StatusOr<PlanResult> Plan(const query::Query&, const PlanRequestOptions&)
 //
@@ -70,8 +69,8 @@ struct GuardStats {
   int64_t traditional_success = 0;
   int64_t traditional_failures = 0;
 
-  int64_t circuit_opens = 0;
-  int64_t circuit_closes = 0;
+  int64_t circuit_opens = 0;   ///< breaker quarantines (HealthMonitor)
+  int64_t circuit_closes = 0;  ///< breaker recoveries (HealthMonitor)
   int64_t circuit_short_circuits = 0;  ///< requests routed while open
 
   int64_t NeuralFailures() const {
@@ -109,9 +108,11 @@ struct PlanRequestOptions {
   uint64_t seed = 0;
 
   /// Tenant context, stamped by the serving layer (serve::PlanRequest) for
-  /// attribution in traces/audit. Backends must not let it influence
-  /// planning: plans are a function of (query, seed) alone, so sharded
+  /// attribution in traces/audit. Backends must not let it influence the
+  /// plan: plans are a function of (query, seed) alone, so sharded
   /// multi-tenant serving stays bit-identical to single-tenant serving.
+  /// It only keys the ladder's breaker, which decides whether the neural
+  /// rung is tried at all.
   std::string tenant_id;
 
   /// Cross-query batch evaluator; see BatchEvalFn.
@@ -126,8 +127,7 @@ struct PlanRequestOptions {
   const util::CancelToken* cancel = nullptr;
 };
 
-/// The unified planning result. `stage` and the guard counters replace the
-/// planner-specific accessors the four backends used to expose.
+/// The unified planning result, identical for every backend.
 struct PlanResult {
   query::PlanPtr plan;                       ///< never null on OK status
   PlanStage stage = PlanStage::kTraditional;
@@ -143,15 +143,15 @@ struct PlanResult {
 };
 
 /// Abstract planning backend. Implementations: BaselinePlanner,
-/// MctsPlanner (planner_backends.h), HybridPlanner (hybrid.h), and
-/// GuardedPlanner (guarded_planner.h). Plan() is not required to be
-/// thread-safe; the serving layer gives each request exclusive use of the
-/// planner while it runs (single dispatch mutex or per-worker instances).
+/// MctsPlanner (planner_backends.h), and GuardedPlanner
+/// (guarded_planner.h). Plan() is not required to be thread-safe; the
+/// serving layer gives each request exclusive use of the planner while it
+/// runs (single dispatch mutex or per-worker instances).
 class Planner {
  public:
   virtual ~Planner() = default;
 
-  /// Stable backend name ("baseline", "neural", "hybrid", "guarded").
+  /// Stable backend name ("baseline", "neural", "guarded").
   virtual const char* name() const = 0;
 
   virtual StatusOr<PlanResult> Plan(const query::Query& q,

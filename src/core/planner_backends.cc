@@ -2,7 +2,6 @@
 
 #include "core/planner_backends.h"
 
-#include "core/hybrid.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -63,16 +62,12 @@ StatusOr<std::unique_ptr<Planner>> MakePlanner(const std::string& name,
   if (name == "neural" || name == "mcts") {
     return std::unique_ptr<Planner>(new MctsPlanner(model, gopts.hybrid.mcts));
   }
-  if (name == "hybrid") {
-    return std::unique_ptr<Planner>(
-        new HybridPlanner(model, baseline, gopts.hybrid));
-  }
   if (name == "guarded") {
     return std::unique_ptr<Planner>(new GuardedPlanner(model, baseline, gopts));
   }
   return Status::InvalidArgument(
       "unknown planner '" + name +
-      "' (expected baseline|neural|hybrid|guarded)");
+      "' (expected baseline|neural|guarded)");
 }
 
 }  // namespace core

@@ -2,9 +2,9 @@
 //
 // Adapters that surface the two "plain" planning backends through the
 // unified core::Planner interface (planner_api.h): the Selinger-style DP
-// baseline and raw MCTS over the learned cost model. HybridPlanner and
-// GuardedPlanner implement the interface natively; MakePlanner constructs
-// any of the four by name so callers (qpsql, the plan service, the
+// baseline and raw MCTS over the learned cost model. The ladder planner,
+// GuardedPlanner, implements the interface natively; MakePlanner constructs
+// any of the three by name so callers (qpsql, the plan service, the
 // conformance suite) never reference a concrete backend type.
 
 #ifndef QPS_CORE_PLANNER_BACKENDS_H_
@@ -57,10 +57,9 @@ class MctsPlanner : public Planner {
   MctsOptions options_;
 };
 
-/// Constructs a backend by name: "baseline", "neural", "hybrid", or
-/// "guarded". `gopts` carries the routing/MCTS/guard-rail configuration;
-/// the baseline backend uses none of it, the neural backend only
-/// gopts.hybrid.mcts. Returns kInvalidArgument for unknown names.
+/// Constructs a backend by name: "baseline", "neural", or "guarded".
+/// `gopts` carries the routing/MCTS/guard-rail configuration; the baseline
+/// backend uses none of it, the neural backend only gopts.hybrid.mcts. Returns kInvalidArgument for unknown names.
 /// `model` may be null only for "baseline".
 StatusOr<std::unique_ptr<Planner>> MakePlanner(
     const std::string& name, const QpSeeker* model,

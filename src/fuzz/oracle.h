@@ -56,9 +56,8 @@ struct OracleReport {
 
 struct OracleOptions {
   /// Backends to differentiate, in fixed order (signature stability).
-  std::vector<std::string> backends = {"baseline", "neural", "hybrid",
-                                       "guarded"};
-  /// Planner configuration shared by the neural/hybrid/guarded backends.
+  std::vector<std::string> backends = {"baseline", "neural", "guarded"};
+  /// Planner configuration shared by the neural and guarded backends.
   /// Defaults pin determinism: rollout-capped MCTS with an effectively
   /// unlimited time budget, so wall-clock never decides a plan.
   core::GuardedOptions guarded;

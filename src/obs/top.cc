@@ -31,6 +31,21 @@ const JsonValue* WindowCounter(const JsonValue& doc, const std::string& name) {
   return counters != nullptr ? counters->Find(name) : nullptr;
 }
 
+/// Worst state over the ladder breakers, one qps.health.state.neural*
+/// gauge per tenant ladder (core/health.h: 0 closed, 1 open, 2 half-open).
+const char* LadderBreaker(const JsonValue& doc) {
+  const JsonValue* gauges = doc.FindPath("metrics.gauges");
+  if (gauges == nullptr || !gauges->is_object()) return "closed";
+  bool half_open = false;
+  for (const auto& [name, value] : gauges->object()) {
+    if (name.rfind("qps.health.state.neural", 0) != 0) continue;
+    if (!value.is_number()) continue;
+    if (value.number() == 1.0) return "OPEN";
+    if (value.number() == 2.0) half_open = true;
+  }
+  return half_open ? "half-open" : "closed";
+}
+
 }  // namespace
 
 std::string FormatTopBoard(const JsonValue& cur, const JsonValue* prev,
@@ -87,8 +102,7 @@ std::string FormatTopBoard(const JsonValue& cur, const JsonValue* prev,
     out += StrFormat(
         "ladder    neural %5.0f   greedy %5.0f   traditional %5.0f   "
         "(window)   breaker %s\n",
-        total(neural), total(greedy), total(traditional),
-        GaugeValue(cur, "qps.guarded.circuit_open") > 0.5 ? "OPEN" : "closed");
+        total(neural), total(greedy), total(traditional), LadderBreaker(cur));
   }
 
   if (const JsonValue* drift = cur.Find("drift")) {

@@ -98,9 +98,9 @@ struct PlanService::Request {
 };
 
 /// A planner instance plus the mutex making it exclusive to one request at
-/// a time. Backends carry per-request state (guard stats, breaker
-/// windows), so instances are per-slot rather than shared; slots rotate
-/// round-robin so with <= `workers` concurrent tasks contention is nil.
+/// a time. Backends carry per-request state (guard stats), so instances are
+/// per-slot rather than shared; slots rotate round-robin so with <=
+/// `workers` concurrent tasks contention is nil.
 struct PlanService::PlannerSlot {
   std::mutex mu;
   std::unique_ptr<core::Planner> planner;
@@ -110,13 +110,13 @@ StatusOr<std::unique_ptr<PlanService>> PlanService::Create(
     PlanServiceDeps deps, PlanServiceOptions options) {
   std::unique_ptr<PlanService> service(
       new PlanService(std::move(deps), std::move(options)));
-  const int slots = std::max(1, service->options_.workers);
-  for (int i = 0; i < slots; ++i) {
+  const size_t slots =
+      static_cast<size_t>(std::max(1, service->options_.workers));
+  QPS_ASSIGN_OR_RETURN(auto planners,
+                       service->BuildPlanners(service->model_.get(), slots));
+  for (auto& planner : planners) {
     auto slot = std::make_unique<PlannerSlot>();
-    QPS_ASSIGN_OR_RETURN(
-        slot->planner,
-        core::MakePlanner(service->planner_name_, service->model_.get(),
-                          service->baseline_, service->gopts_));
+    slot->planner = std::move(planner);
     service->slots_.push_back(std::move(slot));
   }
   if (service->options_.shed_to_baseline) {
@@ -132,17 +132,20 @@ StatusOr<std::unique_ptr<PlanService>> PlanService::Create(
   return service;
 }
 
-StatusOr<std::unique_ptr<PlanService>> PlanService::Create(
-    const std::string& planner_name, const core::QpSeeker* model,
-    const optimizer::Planner* baseline, const core::GuardedOptions& gopts,
-    PlanServiceOptions options) {
-  PlanServiceDeps deps;
-  deps.planner_name = planner_name;
-  deps.model = std::shared_ptr<const core::QpSeeker>(
-      std::shared_ptr<const core::QpSeeker>(), model);
-  deps.baseline = baseline;
-  deps.guard_options = gopts;
-  return Create(std::move(deps), std::move(options));
+StatusOr<std::vector<std::unique_ptr<core::Planner>>>
+PlanService::BuildPlanners(const core::QpSeeker* model, size_t slots) const {
+  // One breaker per (tenant, model generation), shared by every slot: each
+  // worker's ladder sees the tenant's whole traffic, not a 1/workers share.
+  core::GuardedOptions gopts = gopts_;
+  gopts.breaker = core::MakeLadderBreaker(gopts_.clock);
+  std::vector<std::unique_ptr<core::Planner>> planners;
+  planners.reserve(slots);
+  for (size_t i = 0; i < slots; ++i) {
+    QPS_ASSIGN_OR_RETURN(
+        auto planner, core::MakePlanner(planner_name_, model, baseline_, gopts));
+    planners.push_back(std::move(planner));
+  }
+  return planners;
 }
 
 PlanService::PlanService(PlanServiceDeps deps, PlanServiceOptions options)
@@ -523,14 +526,7 @@ Status PlanService::SwapModel(std::shared_ptr<const core::QpSeeker> model) {
   }
   // Build everything fallible before touching live state: a construction
   // failure leaves the old model serving untouched.
-  std::vector<std::unique_ptr<core::Planner>> fresh;
-  fresh.reserve(slots_.size());
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    QPS_ASSIGN_OR_RETURN(
-        auto planner,
-        core::MakePlanner(planner_name_, model.get(), baseline_, gopts_));
-    fresh.push_back(std::move(planner));
-  }
+  QPS_ASSIGN_OR_RETURN(auto fresh, BuildPlanners(model.get(), slots_.size()));
   BatchRendezvousOptions ropts;
   ropts.max_batch = options_.max_batch;
   ropts.flush_timeout_ms = options_.flush_timeout_ms;
@@ -558,9 +554,12 @@ Status PlanService::SwapModel(std::shared_ptr<const core::QpSeeker> model) {
 
 core::GuardStats PlanService::guard_stats() const {
   core::GuardStats total;
-  for (const auto& slot : slots_) {
-    std::lock_guard<std::mutex> lock(slot->mu);
-    total += slot->planner->guard_stats();
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    std::lock_guard<std::mutex> lock(slots_[i]->mu);
+    core::GuardStats s = slots_[i]->planner->guard_stats();
+    // Every slot reads the same shared breaker: count its transitions once.
+    if (i > 0) s.circuit_opens = s.circuit_closes = 0;
+    total += s;
   }
   return total;
 }

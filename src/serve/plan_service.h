@@ -12,11 +12,13 @@
 //        unbounded backlog. When the service runs on a shared (shard) pool,
 //        `pool_max_queue` is a second backstop on the pool itself.
 //     -> planning: a per-worker core::Planner instance (backends keep
-//        per-request state like breaker windows, so instances are not
+//        per-request state like guard counters, so instances are not
 //        shared across threads) runs with the request deadline and a
 //        BatchRendezvous evaluate hook the service injects itself — the
 //        hook is not settable by callers, so nothing can silently bypass
-//        (or race) the rendezvous.
+//        (or race) the rendezvous. The "guarded" ladders of all workers
+//        share one breaker per model generation, so the breaker sees the
+//        tenant's whole traffic.
 //     -> batching: every model evaluation from every in-flight request
 //        meets in the rendezvous and rides a fused PredictPlansMulti
 //        forward. Plans stay bit-identical to serial planning (see
@@ -26,9 +28,9 @@
 //        only fail_on_deadline requests see kDeadlineExceeded.
 //
 // Construction goes through PlanServiceDeps (named fields, shared model
-// ownership from the start) instead of the old positional raw-pointer
-// Create — the sharded multi-tenant layer (sharded_service.h) builds one
-// such core per tenant on a shard-owned pool.
+// ownership from the start); the sharded multi-tenant layer
+// (sharded_service.h) builds one such core per tenant on a shard-owned
+// pool.
 //
 // Metrics: qps.serve.{requests,inflight,queue_depth,queue_ms,latency_ms,
 // batch_size,batch_plans,deadline_misses,shed} and
@@ -66,12 +68,11 @@ class WindowedHistogram;
 namespace serve {
 
 /// Everything a PlanService plans *with*: the backend, the model, and the
-/// traditional planner. Named fields replace the old positional Create
-/// signature; the model is shared from construction, so there is no
-/// pre-/post-SwapModel ownership split inside the service.
+/// traditional planner. The model is shared from construction, so there is
+/// no pre-/post-SwapModel ownership split inside the service.
 struct PlanServiceDeps {
   /// Backend built per worker via core::MakePlanner: "baseline", "neural",
-  /// "hybrid", or "guarded".
+  /// or "guarded".
   std::string planner_name = "baseline";
 
   /// The serving model. May be null only for the "baseline" backend (no
@@ -85,6 +86,7 @@ struct PlanServiceDeps {
   const optimizer::Planner* baseline = nullptr;
 
   /// Routing / MCTS / guard-rail configuration (per-backend subset used).
+  /// Its `breaker` is ignored: the service makes one per model generation.
   core::GuardedOptions guard_options;
 };
 
@@ -118,7 +120,7 @@ struct PlanRequest {
   std::shared_ptr<util::CancelToken> cancel;
 
   /// Set by the sharded layer when this request was admitted as a breaker
-  /// recovery probe (serve/health.h); callers leave it false.
+  /// recovery probe (core/health.h); callers leave it false.
   bool health_probe = false;
 };
 
@@ -208,14 +210,6 @@ class PlanService {
   static StatusOr<std::unique_ptr<PlanService>> Create(
       PlanServiceDeps deps, PlanServiceOptions options = {});
 
-  /// Deprecated positional shim, kept for one PR: forwards to the
-  /// PlanServiceDeps overload with a non-owning model alias.
-  [[deprecated("use Create(PlanServiceDeps, PlanServiceOptions)")]]
-  static StatusOr<std::unique_ptr<PlanService>> Create(
-      const std::string& planner_name, const core::QpSeeker* model,
-      const optimizer::Planner* baseline, const core::GuardedOptions& gopts,
-      PlanServiceOptions options = {});
-
   ~PlanService();
 
   PlanService(const PlanService&) = delete;
@@ -249,11 +243,13 @@ class PlanService {
   /// accumulator (or vice versa).
   Stats stats() const;
 
-  /// Aggregated guard/breaker counters across the per-worker planners.
+  /// Guard counters summed across the per-worker planners; the circuit
+  /// transitions come once from the breaker they share.
   core::GuardStats guard_stats() const;
 
   /// Atomically replaces the serving model under in-flight traffic: builds
-  /// fresh per-slot planners and a fresh rendezvous for `model`, quiesces
+  /// fresh per-slot planners (on a fresh, closed breaker) and a fresh
+  /// rendezvous for `model`, quiesces
   /// every planner slot (in-flight requests finish on the model they
   /// started with), and swaps. Requests submitted after SwapModel returns
   /// plan against the new model; the shared_ptr keeps the old model alive
@@ -280,6 +276,10 @@ class PlanService {
   util::ThreadPool& active_pool() const {
     return options_.pool != nullptr ? *options_.pool : *owned_pool_;
   }
+
+  /// One planner per slot for `model`, all gated by one new ladder breaker.
+  StatusOr<std::vector<std::unique_ptr<core::Planner>>> BuildPlanners(
+      const core::QpSeeker* model, size_t slots) const;
 
   void RunRequest(Request& req);
   /// Terminal shed path: degrade to the inline baseline or reject, plus

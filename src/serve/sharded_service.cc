@@ -237,8 +237,8 @@ std::future<StatusOr<core::PlanResult>> ShardedPlanService::Submit(
       failure = fault::Check("shard.schedule");
     }
     if (failure.ok()) {
-      const AdmitDecision admit = health_.Admit(tenant_id);
-      if (admit == AdmitDecision::kReject) {
+      const core::AdmitDecision admit = health_.Admit(tenant_id);
+      if (admit == core::AdmitDecision::kReject) {
         if (core->options().shed_to_baseline) {
           // Quarantined but degradable: serve an inline DP plan without
           // touching the shard pool the quarantine is protecting.
@@ -247,7 +247,7 @@ std::future<StatusOr<core::PlanResult>> ShardedPlanService::Submit(
         failure = Status::Unavailable("tenant quarantined by health monitor")
                       .SetReason("quarantined");
       } else {
-        const bool probe = (admit == AdmitDecision::kProbe);
+        const bool probe = (admit == core::AdmitDecision::kProbe);
         request.health_probe = probe;
         PlanRequest replay;
         const bool may_replay = retry.enabled();
@@ -330,7 +330,7 @@ StatusOr<core::GuardStats> ShardedPlanService::TenantGuardStats(
   return core->guard_stats();
 }
 
-StatusOr<HealthMonitor::KeyStats> ShardedPlanService::TenantHealth(
+StatusOr<core::HealthMonitor::KeyStats> ShardedPlanService::TenantHealth(
     const std::string& tenant_id) const {
   if (!registry_.Contains(tenant_id)) {
     return Status::NotFound("no such tenant: " + tenant_id);

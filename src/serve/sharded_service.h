@@ -48,7 +48,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/health.h"
+#include "core/health.h"
 #include "serve/tenant.h"
 
 namespace qps {
@@ -79,13 +79,13 @@ struct ShardedPlanServiceOptions {
   /// tenant id). Non-owning.
   obs::AuditLog* audit = nullptr;
 
-  /// Per-tenant circuit breaker (serve/health.h): planning outcomes feed a
+  /// Per-tenant circuit breaker (core/health.h): planning outcomes feed a
   /// rolling error-rate window per tenant; a tripping tenant is
   /// quarantined (fast-fail kUnavailable, or inline DP degrade when its
   /// quota sets shed_to_baseline) and recovered through live probes.
   /// Per-shard rates are tracked as shadow keys "shard_<i>". Set
   /// health.clock for ManualClock tests.
-  HealthOptions health;
+  core::HealthOptions health;
 
   /// Retry policy applied at both levels: the caller-side loop here
   /// (synchronously-failing submissions: injected submit/schedule faults,
@@ -139,9 +139,9 @@ class ShardedPlanService {
 
   /// Breaker stats for one tenant (kNotFound for unknown tenants) and the
   /// whole monitor (tenants plus shard_<i> shadow keys), for qpsql \health.
-  StatusOr<HealthMonitor::KeyStats> TenantHealth(
+  StatusOr<core::HealthMonitor::KeyStats> TenantHealth(
       const std::string& tenant_id) const;
-  const HealthMonitor& health() const { return health_; }
+  const core::HealthMonitor& health() const { return health_; }
 
   const TenantRegistry& registry() const { return registry_; }
   std::vector<std::string> tenant_ids() const { return registry_.ids(); }
@@ -173,7 +173,7 @@ class ShardedPlanService {
   TenantRegistry registry_;
   /// Declared before shards_: tenant cores (owned by shards_) hold
   /// callbacks into the monitor, so it must be destroyed after them.
-  HealthMonitor health_;
+  core::HealthMonitor health_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex qerr_mu_;

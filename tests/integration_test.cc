@@ -7,8 +7,8 @@
 
 #include <cstdio>
 
-#include "core/hybrid.h"
 #include "core/mcts.h"
+#include "core/planner_backends.h"
 #include "core/qpseeker.h"
 #include "eval/workload_io.h"
 #include "eval/workloads.h"
@@ -76,7 +76,7 @@ TEST_F(IntegrationTest, FullPipelineTrainPlanExecute) {
   EXPECT_GT(result->plan->actual.runtime_ms, 0.0);
 }
 
-TEST_F(IntegrationTest, HybridPlannerRoutesByComplexity) {
+TEST_F(IntegrationTest, LadderPlannerRoutesByComplexity) {
   // Minimal trained model (normalizer fitted).
   eval::WorkloadOptions wo;
   wo.num_queries = 8;
@@ -94,16 +94,16 @@ TEST_F(IntegrationTest, HybridPlannerRoutesByComplexity) {
   seeker.Train(*ds, topts);
 
   optimizer::Planner baseline(*db_, *stats_);
-  core::HybridOptions hopts;
-  hopts.neural_min_relations = 3;
-  hopts.mcts.max_rollouts = 40;
-  hopts.mcts.time_budget_ms = 1e9;
-  core::HybridPlanner hybrid(&seeker, &baseline, hopts);
+  core::GuardedOptions gopts;
+  gopts.hybrid.neural_min_relations = 3;
+  gopts.hybrid.mcts.max_rollouts = 40;
+  gopts.hybrid.mcts.time_budget_ms = 1e9;
+  auto hybrid = core::MakePlanner("guarded", &seeker, &baseline, gopts).value();
 
   auto simple = query::ParseSql(
       "SELECT COUNT(*) FROM title t, aka_title at WHERE at.movie_id = t.id;", *db_);
   ASSERT_TRUE(simple.ok());
-  auto r1 = hybrid.Plan(*simple);
+  auto r1 = hybrid->Plan(*simple, {});
   ASSERT_TRUE(r1.ok());
   EXPECT_FALSE(r1->used_neural) << "2-relation query must take the DP path";
   EXPECT_EQ(r1->plans_evaluated, 0);
@@ -113,7 +113,7 @@ TEST_F(IntegrationTest, HybridPlannerRoutesByComplexity) {
       "ci.movie_id = t.id AND ci.role_id = rt.id AND ci.person_id = n.id;",
       *db_);
   ASSERT_TRUE(complex.ok());
-  auto r2 = hybrid.Plan(*complex);
+  auto r2 = hybrid->Plan(*complex, {});
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(r2->used_neural) << "4-relation query must take the MCTS path";
   EXPECT_GT(r2->plans_evaluated, 0);

@@ -322,7 +322,7 @@ TEST_F(ModelManagerTest, HotReloadUnderConcurrentTraffic) {
   sopts.workers = 4;
   sopts.max_queue = 256;
   PlanServiceDeps deps;
-  deps.planner_name = "hybrid";
+  deps.planner_name = "guarded";
   deps.model = std::shared_ptr<const core::QpSeeker>(
       std::shared_ptr<const core::QpSeeker>(), model_);
   deps.baseline = baseline_;

@@ -611,7 +611,8 @@ TEST(TopBoardTest, RendersThroughputLatencyLadderAndDrift) {
                            "qps.serve.deadline_misses":2},
                "gauges":{"qps.serve.inflight":5,
                          "qps.serve.queue_depth":7,
-                         "qps.guarded.circuit_open":1},
+                         "qps.health.state.neural":0,
+                         "qps.health.state.neural_t1":1},
                "histograms":{}},
     "window":{"counters":{"qps.serve.requests":{"total":120,"rate":40},
                           "qps.guarded.stage.neural":{"total":80,"rate":26},

@@ -4,8 +4,9 @@
 // simultaneous submits all complete, concurrent plans are bit-identical to
 // serial planning for fixed seeds (the cross-query batching determinism
 // contract), blown deadlines return best-so-far plans, a full admission
-// queue sheds (or degrades to the inline baseline), and the rendezvous
-// actually fuses evaluations from different in-flight queries.
+// queue sheds (or degrades to the inline baseline), the rendezvous
+// actually fuses evaluations from different in-flight queries, and the
+// workers' ladders share one breaker per (tenant, model).
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,9 @@
 #include "query/parser.h"
 #include "serve/plan_service.h"
 #include "storage/schemas.h"
+#include "util/clock.h"
 #include "util/fault.h"
+#include "util/metrics.h"
 
 namespace qps {
 namespace serve {
@@ -353,6 +356,92 @@ TEST_F(PlanServiceTest, GuardStatsAggregateAcrossWorkerPlanners) {
   EXPECT_EQ(stats.requests, kRequests);
   EXPECT_EQ(stats.neural_attempts, kRequests);
   EXPECT_EQ(stats.neural_success, kRequests);
+}
+
+TEST_F(PlanServiceTest, WorkerLaddersShareOneBreaker) {
+  // The breaker is per (tenant, model), not per worker slot: a 4-worker
+  // service whose MCTS keeps failing trips after min_samples requests in
+  // total, where per-slot breakers would each see only a quarter of them.
+  const core::HealthOptions breaker;  // ladder breakers run on the defaults
+  ManualClock clock;
+  PlanServiceDeps deps = Deps("guarded");
+  deps.guard_options.clock = &clock;
+  PlanServiceOptions opts;
+  opts.workers = 4;
+  opts.tenant_id = "acme";
+  auto service = PlanService::Create(std::move(deps), opts).value();
+
+  fault::FaultSpec spec;
+  spec.code = StatusCode::kInternal;
+  spec.trigger_on_hit = 1;
+  spec.sticky = true;
+  fault::FaultInjector::Global().Arm("mcts.rollout", spec);
+
+  // Sequential requests rotate round-robin over the four slots; greedy
+  // saves every one of them.
+  for (int i = 0; i < breaker.min_samples; ++i) {
+    auto result = service->Submit(Req(ThreeWay(), 30 + i)).get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stage, core::PlanStage::kGreedy) << "request " << i;
+  }
+  core::GuardStats stats = service->guard_stats();
+  EXPECT_EQ(stats.neural_attempts, breaker.min_samples);
+  EXPECT_EQ(stats.circuit_opens, 1) << "one shared breaker, counted once";
+  // The ladder key carries the tenant id.
+  EXPECT_EQ(metrics::Registry::Global()
+                .GetGauge("qps.health.state.neural_acme")
+                ->value(),
+            static_cast<double>(core::HealthState::kOpen));
+
+  auto shed = service->Submit(Req(ThreeWay(), 99)).get();
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  EXPECT_EQ(shed->stage, core::PlanStage::kTraditional);
+  EXPECT_EQ(shed->fallback_reason, "circuit open");
+
+  // Half-open probes from different slots recover the same breaker.
+  clock.SetMillis(breaker.open_ms + 1.0);
+  fault::FaultInjector::Global().DisarmAll();
+  for (int i = 0; i < breaker.probe_recoveries; ++i) {
+    auto probe = service->Submit(Req(ThreeWay(), 60 + i)).get();
+    ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+    EXPECT_EQ(probe->stage, core::PlanStage::kNeural);
+  }
+  stats = service->guard_stats();
+  EXPECT_EQ(stats.circuit_opens, 1);
+  EXPECT_EQ(stats.circuit_closes, 1);
+  EXPECT_EQ(stats.circuit_short_circuits, 1);
+}
+
+TEST_F(PlanServiceTest, SwapModelStartsTheBreakerClosed) {
+  const core::HealthOptions breaker;
+  ManualClock clock;
+  PlanServiceDeps deps = Deps("guarded");
+  deps.guard_options.clock = &clock;
+  PlanServiceOptions opts;
+  opts.workers = 2;
+  auto service = PlanService::Create(std::move(deps), opts).value();
+
+  fault::FaultSpec spec;
+  spec.code = StatusCode::kInternal;
+  spec.trigger_on_hit = 1;
+  spec.sticky = true;
+  fault::FaultInjector::Global().Arm("mcts.rollout", spec);
+  for (int i = 0; i < breaker.min_samples; ++i) {
+    ASSERT_TRUE(service->Submit(Req(ThreeWay(), 30 + i)).get().ok());
+  }
+  ASSERT_EQ(service->guard_stats().circuit_opens, 1);
+
+  // The new model gets a fresh breaker: its neural rung is tried again
+  // (and, with the fault still armed, greedy saves the request).
+  ASSERT_TRUE(service
+                  ->SwapModel(std::shared_ptr<const core::QpSeeker>(
+                      std::shared_ptr<const core::QpSeeker>(), model_))
+                  .ok());
+  auto result = service->Submit(Req(ThreeWay(), 50)).get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->stage, core::PlanStage::kGreedy);
+  EXPECT_EQ(service->guard_stats().circuit_opens, 0);
+  EXPECT_EQ(service->guard_stats().circuit_short_circuits, 0);
 }
 
 TEST_F(PlanServiceTest, CreateRejectsUnknownBackendAndBadShedConfig) {

@@ -1,7 +1,7 @@
 // Copyright 2026 The QPSeeker Authors
 //
 // Conformance suite for the unified core::Planner interface: every backend
-// reachable through MakePlanner ("baseline", "neural", "hybrid", "guarded")
+// reachable through MakePlanner ("baseline", "neural", "guarded")
 // must satisfy the same contract — OK results carry a non-null, validated
 // plan with finite stats; malformed queries fail with the documented error
 // codes; a fixed request seed makes planning reproducible; deadlines
@@ -24,7 +24,7 @@ namespace qps {
 namespace core {
 namespace {
 
-const char* kBackends[] = {"baseline", "neural", "hybrid", "guarded"};
+const char* kBackends[] = {"baseline", "neural", "guarded"};
 
 class PlannerConformanceTest : public ::testing::Test {
  protected:
@@ -174,7 +174,7 @@ TEST_F(PlannerConformanceTest, TightDeadlineStillYieldsAValidPlan) {
   const query::Query q = Complex();
   PlanRequestOptions ropts;
   ropts.deadline_ms = 1e-3;
-  for (const char* name : {"neural", "hybrid", "guarded"}) {
+  for (const char* name : {"neural", "guarded"}) {
     auto result = Make(name)->Plan(q, ropts);
     ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
     ASSERT_NE(result->plan, nullptr) << name;
@@ -193,7 +193,7 @@ TEST_F(PlannerConformanceTest, FailOnDeadlineSurfacesDeadlineExceeded) {
   PlanRequestOptions ropts;
   ropts.deadline_ms = 1e-3;
   ropts.fail_on_deadline = true;
-  for (const char* name : {"neural", "hybrid", "guarded"}) {
+  for (const char* name : {"neural", "guarded"}) {
     auto result = Make(name)->Plan(q, ropts);
     ASSERT_FALSE(result.ok()) << name;
     EXPECT_TRUE(result.status().IsDeadlineExceeded())
@@ -244,7 +244,7 @@ TEST_F(PlannerConformanceTest, MakePlannerRejectsUnknownAndMisconfigured) {
   EXPECT_TRUE(unknown.status().code() == StatusCode::kInvalidArgument);
 
   // Every backend except "baseline" needs a model.
-  for (const char* name : {"neural", "hybrid", "guarded"}) {
+  for (const char* name : {"neural", "guarded"}) {
     auto no_model = MakePlanner(name, nullptr, baseline_, Opts());
     ASSERT_FALSE(no_model.ok()) << name;
     EXPECT_TRUE(no_model.status().code() == StatusCode::kInvalidArgument) << name;

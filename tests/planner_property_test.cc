@@ -10,8 +10,8 @@
 #include <set>
 
 #include "baselines/bao.h"
-#include "core/hybrid.h"
 #include "core/mcts.h"
+#include "core/planner_backends.h"
 #include "eval/workloads.h"
 #include "query/parser.h"
 #include "sampling/plan_sampler.h"
@@ -205,13 +205,14 @@ class HybridThresholdTest : public ::testing::TestWithParam<int> {};
 TEST_P(HybridThresholdTest, RoutesExactlyByRelationCount) {
   const auto& fx = PlannerFixture::Get();
   optimizer::Planner baseline(*fx.db, *fx.stats);
-  core::HybridOptions hopts;
-  hopts.neural_min_relations = GetParam();
-  hopts.mcts.max_rollouts = 20;
-  hopts.mcts.time_budget_ms = 1e9;
-  core::HybridPlanner hybrid(fx.model.get(), &baseline, hopts);
+  core::GuardedOptions gopts;
+  gopts.hybrid.neural_min_relations = GetParam();
+  gopts.hybrid.mcts.max_rollouts = 20;
+  gopts.hybrid.mcts.time_budget_ms = 1e9;
+  auto hybrid =
+      core::MakePlanner("guarded", fx.model.get(), &baseline, gopts).value();
   for (const auto& q : fx.queries) {
-    auto result = hybrid.Plan(q);
+    auto result = hybrid->Plan(q, {});
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->used_neural, q.num_relations() >= GetParam());
     EXPECT_EQ(result->plan->RelMask(), (uint64_t{1} << q.num_relations()) - 1);

@@ -15,10 +15,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/health.h"
 #include "core/planner_backends.h"
 #include "core/qpseeker.h"
 #include "query/parser.h"
-#include "serve/health.h"
 #include "serve/retry.h"
 #include "serve/sharded_service.h"
 #include "storage/schemas.h"
@@ -29,6 +29,11 @@
 namespace qps {
 namespace serve {
 namespace {
+
+using core::AdmitDecision;
+using core::HealthMonitor;
+using core::HealthOptions;
+using core::HealthState;
 
 // ---------------------------------------------------------------------------
 // HealthMonitor state machine (ManualClock, no serving stack).
