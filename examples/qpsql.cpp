@@ -371,9 +371,9 @@ void PrintTenants(const serve::ShardedPlanService& sharded) {
 /// serially for q-error accounting.
 int RunServe(const storage::Database& db, core::QpSeeker* model,
              const optimizer::Planner& baseline, const Options& opts) {
-  // All model evaluation in serving goes through the batch rendezvous
-  // (the model forward is not concurrently callable), so per-request MCTS
-  // runs single-threaded and parallelism comes from concurrent requests.
+  // All model evaluation in serving goes through the batch rendezvous,
+  // which fuses forwards across requests, so per-request MCTS runs
+  // single-threaded and parallelism comes from concurrent requests.
   core::GuardedOptions gopts;
   gopts.hybrid.mcts.threads = 1;
   if (opts.planner == "guarded") {

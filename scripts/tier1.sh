@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: metric-name lint =="
 ./scripts/check_metric_names.sh
 
+echo "== tier-1: mutable-member lint =="
+./scripts/check_mutable_members.sh
+
 echo "== tier-1: release build + full ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j
@@ -22,13 +25,14 @@ echo "== tier-1: forced-scalar int8 kernel leg (QPS_FORCE_SCALAR=1) =="
 (cd build && QPS_FORCE_SCALAR=1 ctest --output-on-failure \
   -R "quant_test|nn_test|model_manager_test|checkpoint_test")
 
-echo "== tier-1: TSan build (threadpool + hot-path + ladder + serving + obs + fuzz-replay tests) =="
+echo "== tier-1: TSan build (threadpool + hot-path + ladder + serving + obs + fuzz-replay + storage tests) =="
 cmake -B build-tsan -S . -DQPS_SANITIZE=THREAD >/dev/null
 cmake --build build-tsan -j --target threadpool_test hotpath_test \
   planner_conformance_test guarded_planner_test plan_service_test \
-  model_manager_test tenant_test resilience_test planner_fuzz_test obs_test
+  model_manager_test tenant_test resilience_test planner_fuzz_test obs_test \
+  storage_test
 (cd build-tsan && ctest --output-on-failure \
-  -R "threadpool_test|hotpath_test|planner_conformance_test|guarded_planner_test|plan_service_test|model_manager_test|tenant_test|resilience_test|planner_fuzz_test|obs_test")
+  -R "threadpool_test|hotpath_test|planner_conformance_test|guarded_planner_test|plan_service_test|model_manager_test|tenant_test|resilience_test|planner_fuzz_test|obs_test|storage_test")
 
 echo "== tier-1: ASan checkpoint-loader fuzz (10k fixed-seed inputs) =="
 cmake -B build-asan -S . -DQPS_SANITIZE=ON >/dev/null

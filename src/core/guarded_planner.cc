@@ -63,24 +63,22 @@ std::string LadderKey(const std::string& tenant_id) {
 
 }  // namespace
 
-std::shared_ptr<HealthMonitor> MakeLadderBreaker(const Clock* clock) {
-  HealthOptions hopts;
-  hopts.clock = clock;
-  return std::make_shared<HealthMonitor>(hopts);
-}
-
 GuardedPlanner::GuardedPlanner(const QpSeeker* model,
                                const optimizer::Planner* baseline,
                                GuardedOptions options)
     : model_(model), baseline_(baseline), options_(std::move(options)) {
-  if (options_.breaker == nullptr) {
-    options_.breaker = MakeLadderBreaker(options_.clock);
-  }
+  HealthOptions hopts;
+  hopts.clock = options_.clock;
+  breaker_ = std::make_unique<HealthMonitor>(hopts);
 }
 
 GuardStats GuardedPlanner::guard_stats() const {
-  GuardStats out = stats_;
-  for (const auto& [key, s] : options_.breaker->AllStats()) {
+  GuardStats out;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    out = stats_;
+  }
+  for (const auto& [key, s] : breaker_->AllStats()) {
     out.circuit_opens += s.quarantines;
     out.circuit_closes += s.recoveries;
   }
@@ -88,14 +86,14 @@ GuardStats GuardedPlanner::guard_stats() const {
 }
 
 HealthState GuardedPlanner::circuit_state(const std::string& tenant_id) const {
-  return options_.breaker->state(LadderKey(tenant_id));
+  return breaker_->state(LadderKey(tenant_id));
 }
 
 Status GuardedPlanner::TryNeural(const query::Query& q,
                                  const PlanRequestOptions& ropts,
-                                 PlanResult* out) {
+                                 GuardStats* stats, PlanResult* out) const {
   QPS_TRACE_SPAN("guarded.neural");
-  stats_.neural_attempts += 1;
+  stats->neural_attempts += 1;
   MctsOptions mopts = options_.hybrid.mcts;
   if (options_.neural_deadline_ms > 0.0) {
     mopts.time_budget_ms = std::min(mopts.time_budget_ms, options_.neural_deadline_ms);
@@ -109,24 +107,24 @@ Status GuardedPlanner::TryNeural(const query::Query& q,
   if (!mcts.ok()) {
     const Status& st = mcts.status();
     if (st.IsDeadlineExceeded()) {
-      stats_.neural_deadline += 1;
+      stats->neural_deadline += 1;
     } else if (st.message().find("non-finite") != std::string::npos) {
-      stats_.neural_nan += 1;
+      stats->neural_nan += 1;
     } else {
-      stats_.neural_error += 1;
+      stats->neural_error += 1;
     }
     return st;
   }
   if (!std::isfinite(mcts->predicted_runtime_ms)) {
-    stats_.neural_nan += 1;
+    stats->neural_nan += 1;
     return Status::Internal("non-finite MCTS plan score");
   }
   Status valid = query::ValidatePlan(q, *mcts->plan);
   if (!valid.ok()) {
-    stats_.neural_invalid_plan += 1;
+    stats->neural_invalid_plan += 1;
     return valid;
   }
-  stats_.neural_success += 1;
+  stats->neural_success += 1;
   out->node_stats = mcts->plan->estimated;
   out->node_stats.runtime_ms = mcts->predicted_runtime_ms;
   out->plan = std::move(mcts->plan);
@@ -139,9 +137,9 @@ Status GuardedPlanner::TryNeural(const query::Query& q,
 
 Status GuardedPlanner::TryGreedy(const query::Query& q,
                                  const PlanRequestOptions& ropts,
-                                 PlanResult* out) {
+                                 GuardStats* stats, PlanResult* out) const {
   QPS_TRACE_SPAN("guarded.greedy");
-  stats_.greedy_attempts += 1;
+  stats->greedy_attempts += 1;
   auto greedy = GreedyPlan(*model_, q, ropts.evaluate, ropts.cancel);
   Status st = greedy.ok() ? Status::OK() : greedy.status();
   if (st.ok() && !std::isfinite(greedy->predicted_runtime_ms)) {
@@ -149,10 +147,10 @@ Status GuardedPlanner::TryGreedy(const query::Query& q,
   }
   if (st.ok()) st = query::ValidatePlan(q, *greedy->plan);
   if (!st.ok()) {
-    stats_.greedy_failures += 1;
+    stats->greedy_failures += 1;
     return st;
   }
-  stats_.greedy_success += 1;
+  stats->greedy_success += 1;
   out->node_stats = greedy->plan->estimated;
   out->node_stats.runtime_ms = greedy->predicted_runtime_ms;
   out->plan = std::move(greedy->plan);
@@ -164,17 +162,18 @@ Status GuardedPlanner::TryGreedy(const query::Query& q,
 
 Status GuardedPlanner::TryTraditional(const query::Query& q,
                                       const PlanRequestOptions& ropts,
-                                      PlanResult* out) {
+                                      GuardStats* stats,
+                                      PlanResult* out) const {
   QPS_TRACE_SPAN("guarded.traditional");
-  stats_.traditional_attempts += 1;
+  stats->traditional_attempts += 1;
   auto plan = baseline_->Plan(q, {}, ropts.cancel);
   Status st = plan.ok() ? Status::OK() : plan.status();
   if (st.ok()) st = query::ValidatePlan(q, **plan);
   if (!st.ok()) {
-    stats_.traditional_failures += 1;
+    stats->traditional_failures += 1;
     return st;
   }
-  stats_.traditional_success += 1;
+  stats->traditional_success += 1;
   out->node_stats = (*plan)->estimated;
   out->plan = std::move(*plan);
   out->stage = PlanStage::kTraditional;
@@ -184,14 +183,24 @@ Status GuardedPlanner::TryTraditional(const query::Query& q,
 }
 
 StatusOr<PlanResult> GuardedPlanner::Plan(const query::Query& q,
-                                          const PlanRequestOptions& ropts) {
+                                          const PlanRequestOptions& ropts) const {
+  GuardStats request_stats;
+  StatusOr<PlanResult> result = RunLadder(q, ropts, &request_stats);
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  stats_ += request_stats;
+  return result;
+}
+
+StatusOr<PlanResult> GuardedPlanner::RunLadder(const query::Query& q,
+                                               const PlanRequestOptions& ropts,
+                                               GuardStats* stats) const {
   QPS_RETURN_IF_ERROR(CheckPlannable(q));
   // An already-cancelled request never enters the ladder (and never counts
   // against the breaker — cancellation is caller-driven, not model health).
   QPS_RETURN_IF_ERROR(util::CheckCancel(ropts.cancel));
   const GuardMetrics& gm = GuardMetrics::Get();
   QPS_TRACE_SPAN_VAR(span, "guarded.plan");
-  stats_.requests += 1;
+  stats->requests += 1;
   gm.requests->Increment();
   Timer timer(&clock());
   PlanResult result;
@@ -218,16 +227,16 @@ StatusOr<PlanResult> GuardedPlanner::Plan(const query::Query& q,
       q.num_relations() >= options_.hybrid.neural_min_relations;
 
   if (neural_eligible) {
-    HealthMonitor& breaker = *options_.breaker;
+    HealthMonitor& breaker = *breaker_;
     const std::string key = LadderKey(ropts.tenant_id);
     const AdmitDecision admit = breaker.Admit(key);
     if (admit == AdmitDecision::kReject) {
-      stats_.circuit_short_circuits += 1;
+      stats->circuit_short_circuits += 1;
       gm.circuit_short_circuits->Increment();
       result.fallback_reason = "circuit open";
     } else {
       const bool probe = admit == AdmitDecision::kProbe;
-      Status neural = TryNeural(q, ropts, &result);
+      Status neural = TryNeural(q, ropts, stats, &result);
       // A rung tripped by the cancel token ends the ladder: degrading a
       // request nobody is waiting for just burns more CPU. The tripped
       // outcome also stays out of the breaker — it says nothing about
@@ -241,7 +250,7 @@ StatusOr<PlanResult> GuardedPlanner::Plan(const query::Query& q,
       result.fallback_reason = "neural: " + neural.ToString();
       QPS_VLOG(1) << "guarded: neural rung failed (" << neural.ToString()
                   << "), degrading to greedy";
-      Status greedy = TryGreedy(q, ropts, &result);
+      Status greedy = TryGreedy(q, ropts, stats, &result);
       if (!greedy.ok() && util::Cancelled(ropts.cancel)) return greedy;
       if (greedy.ok()) return serve();
       result.fallback_reason += "; greedy: " + greedy.ToString();
@@ -250,7 +259,7 @@ StatusOr<PlanResult> GuardedPlanner::Plan(const query::Query& q,
     }
   }
 
-  Status traditional = TryTraditional(q, ropts, &result);
+  Status traditional = TryTraditional(q, ropts, stats, &result);
   if (!traditional.ok()) return traditional;
   return serve();
 }

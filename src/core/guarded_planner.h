@@ -26,6 +26,7 @@
 #define QPS_CORE_GUARDED_PLANNER_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "core/health.h"
@@ -57,18 +58,12 @@ struct GuardedOptions {
   /// Timer (util/clock.h), so tests substitute one ManualClock for all of
   /// them. nullptr = Clock::Default().
   const Clock* clock = nullptr;
-
-  /// Breaker shared by several ladders (PlanService shares one across its
-  /// worker slots). Null = the planner makes its own with
-  /// MakeLadderBreaker(clock).
-  std::shared_ptr<HealthMonitor> breaker;
 };
 
-/// A ladder breaker: HealthOptions defaults on `clock`.
-std::shared_ptr<HealthMonitor> MakeLadderBreaker(const Clock* clock);
-
-/// The degradation-ladder planner. Plan() is not thread-safe (per-request
-/// GuardStats); the breaker it consults is.
+/// The degradation-ladder planner. Plan() is thread-safe (planner_api.h):
+/// each request counts into its own GuardStats and folds them into the
+/// planner's total once, and the breaker locks internally. One instance
+/// therefore sees, and gates, the whole traffic of its callers.
 class GuardedPlanner : public Planner {
  public:
   GuardedPlanner(const QpSeeker* model, const optimizer::Planner* baseline,
@@ -77,12 +72,12 @@ class GuardedPlanner : public Planner {
   /// Per-request deadline, seed, and batch evaluator thread into the
   /// neural and greedy rungs; `ropts.tenant_id` picks the breaker key.
   StatusOr<PlanResult> Plan(const query::Query& q,
-                            const PlanRequestOptions& ropts) override;
+                            const PlanRequestOptions& ropts) const override;
 
   const char* name() const override { return "guarded"; }
 
   /// This planner's counters, plus the breaker's transitions read from the
-  /// monitor (shared with every planner on the same breaker).
+  /// monitor.
   GuardStats guard_stats() const override;
 
   /// Breaker state of `tenant_id`'s ladder (kClosed before any traffic).
@@ -95,19 +90,28 @@ class GuardedPlanner : public Planner {
     return options_.clock != nullptr ? *options_.clock : *Clock::Default();
   }
 
+  /// The ladder itself; counts into the request-local `stats`.
+  StatusOr<PlanResult> RunLadder(const query::Query& q,
+                                 const PlanRequestOptions& ropts,
+                                 GuardStats* stats) const;
+
   /// One rung: plan, validate, score-check. Returns the failure reason or
   /// OK with `*out` filled.
   Status TryNeural(const query::Query& q, const PlanRequestOptions& ropts,
-                   PlanResult* out);
+                   GuardStats* stats, PlanResult* out) const;
   Status TryGreedy(const query::Query& q, const PlanRequestOptions& ropts,
-                   PlanResult* out);
+                   GuardStats* stats, PlanResult* out) const;
   Status TryTraditional(const query::Query& q, const PlanRequestOptions& ropts,
-                        PlanResult* out);
+                        GuardStats* stats, PlanResult* out) const;
 
   const QpSeeker* model_;
   const optimizer::Planner* baseline_;
   GuardedOptions options_;
-  GuardStats stats_;
+  /// Thread-safe; HealthOptions defaults on options_.clock.
+  std::unique_ptr<HealthMonitor> breaker_;
+
+  mutable std::mutex stats_mu_;
+  mutable GuardStats stats_;  ///< guarded by stats_mu_
 };
 
 }  // namespace core

@@ -357,9 +357,9 @@ StatusOr<MctsResult> GreedyPlan(const QpSeeker& model, const Query& q,
   result.plan = PlanFromActions(q, prefix);
   if (result.plan == nullptr) return Status::Internal("greedy produced no plan");
   model.AnnotateEstimates(q, result.plan.get());
-  // The final score must go through the same evaluator as the step batches:
-  // PredictPlan touches mutable model state, which the serving layer only
-  // serializes behind the injected hook.
+  // The final score goes through the same evaluator as the step batches,
+  // so a served request's every forward rides (and is counted by) the
+  // serving layer's rendezvous.
   result.predicted_runtime_ms =
       evaluate ? evaluate(q, {result.plan.get()})[0].runtime_ms
                : model.PredictPlan(q, *result.plan).runtime_ms;

@@ -77,7 +77,8 @@ struct GuardStats {
     return neural_invalid_plan + neural_nan + neural_deadline + neural_error;
   }
 
-  /// Field-wise sum, for aggregating per-worker planner instances.
+  /// Field-wise sum: the ladder folds each request's counters into its
+  /// total with it.
   GuardStats& operator+=(const GuardStats& o);
 
   std::string ToString() const;
@@ -144,9 +145,14 @@ struct PlanResult {
 
 /// Abstract planning backend. Implementations: BaselinePlanner,
 /// MctsPlanner (planner_backends.h), and GuardedPlanner
-/// (guarded_planner.h). Plan() is not required to be thread-safe; the
-/// serving layer gives each request exclusive use of the planner while it
-/// runs (single dispatch mutex or per-worker instances).
+/// (guarded_planner.h).
+///
+/// Thread-safety contract: Plan() is const and safe to call concurrently
+/// from any number of threads on one instance. A backend keeps no
+/// per-request state in its members; anything it does update across calls
+/// (the ladder's counters and breaker) is synchronized. Concurrent calls
+/// with fixed seeds produce the same plans as serial ones, so the serving
+/// layer shares one instance among all of its workers.
 class Planner {
  public:
   virtual ~Planner() = default;
@@ -155,7 +161,7 @@ class Planner {
   virtual const char* name() const = 0;
 
   virtual StatusOr<PlanResult> Plan(const query::Query& q,
-                                    const PlanRequestOptions& opts) = 0;
+                                    const PlanRequestOptions& opts) const = 0;
 
   /// Guard/breaker counters; all-zero for backends without a ladder.
   virtual GuardStats guard_stats() const { return GuardStats{}; }

@@ -9,7 +9,7 @@ namespace qps {
 namespace core {
 
 StatusOr<PlanResult> BaselinePlanner::Plan(const query::Query& q,
-                                           const PlanRequestOptions& ropts) {
+                                           const PlanRequestOptions& ropts) const {
   QPS_RETURN_IF_ERROR(CheckPlannable(q));
   QPS_TRACE_SPAN("baseline.plan");
   Timer timer;
@@ -22,7 +22,7 @@ StatusOr<PlanResult> BaselinePlanner::Plan(const query::Query& q,
 }
 
 StatusOr<PlanResult> MctsPlanner::Plan(const query::Query& q,
-                                       const PlanRequestOptions& ropts) {
+                                       const PlanRequestOptions& ropts) const {
   QPS_RETURN_IF_ERROR(CheckPlannable(q));
   MctsOptions mopts = options_;
   mopts.deadline_ms = ropts.deadline_ms;

@@ -32,7 +32,7 @@ class BaselinePlanner : public Planner {
   const char* name() const override { return "baseline"; }
 
   StatusOr<PlanResult> Plan(const query::Query& q,
-                            const PlanRequestOptions& ropts) override;
+                            const PlanRequestOptions& ropts) const override;
 
  private:
   const optimizer::Planner* baseline_;
@@ -48,7 +48,7 @@ class MctsPlanner : public Planner {
   const char* name() const override { return "neural"; }
 
   StatusOr<PlanResult> Plan(const query::Query& q,
-                            const PlanRequestOptions& ropts) override;
+                            const PlanRequestOptions& ropts) const override;
 
   const MctsOptions& options() const { return options_; }
 

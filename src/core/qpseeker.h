@@ -223,9 +223,10 @@ class QpSeeker {
   class Bundle;
   std::unique_ptr<Bundle> bundle_;
 
-  /// Optional prediction cache; mutable because hits/inserts happen inside
-  /// logically-const PredictPlan calls.
-  mutable std::unique_ptr<PlanPredictionCache> cache_;
+  /// Optional prediction cache. The cache locks internally, so const
+  /// PredictPlan calls hit and insert through it; only EnableCache, Train
+  /// and Load replace it.
+  std::unique_ptr<PlanPredictionCache> cache_;
 };
 
 }  // namespace core

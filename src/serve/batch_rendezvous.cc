@@ -30,9 +30,23 @@ struct RendezvousMetrics {
 
 }  // namespace
 
+void BatchRendezvous::Counters::RecordFlush(int64_t queries, int64_t plans) {
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.flushes += 1;
+  stats_.fused_queries += queries;
+  stats_.fused_plans += plans;
+  stats_.max_fused = std::max(stats_.max_fused, queries);
+}
+
+BatchRendezvous::Stats BatchRendezvous::Counters::snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
+}
+
 BatchRendezvous::BatchRendezvous(const core::QpSeeker* model,
-                                 BatchRendezvousOptions options)
-    : model_(model), options_(options) {}
+                                 BatchRendezvousOptions options,
+                                 Counters* counters)
+    : model_(model), options_(options), counters_(counters) {}
 
 size_t BatchRendezvous::TargetLocked() const {
   const int expected = expected_.load(std::memory_order_relaxed);
@@ -64,21 +78,19 @@ void BatchRendezvous::FlushLocked(std::unique_lock<std::mutex>& lk) {
     // stall surfaces downstream as deadline pressure on every fused
     // request.
     (void)fault::Check("serve.batch");
-    fused = model_->PredictPlansMulti(requests, options_.annotation_pool);
+    fused = model_->PredictPlansMulti(requests);
   }
   RendezvousMetrics::Get().batch_size->Record(static_cast<double>(batch.size()));
   RendezvousMetrics::Get().batch_plans->Record(static_cast<double>(total_plans));
+  // Counted before any result is handed out, so a request that has its
+  // answer always finds its flush in the counters.
+  counters_->RecordFlush(static_cast<int64_t>(batch.size()), total_plans);
 
   lk.lock();
   for (size_t i = 0; i < batch.size(); ++i) {
     batch[i]->result = std::move(fused[i]);
     batch[i]->done = true;
   }
-  stats_.flushes += 1;
-  stats_.fused_queries += static_cast<int64_t>(batch.size());
-  stats_.fused_plans += total_plans;
-  stats_.max_fused =
-      std::max(stats_.max_fused, static_cast<int64_t>(batch.size()));
   flushing_ = false;
   cv_.notify_all();
 }
@@ -98,8 +110,8 @@ std::vector<query::NodeStats> BatchRendezvous::Evaluate(
   for (;;) {
     if (pending.done) break;
     // A leader flushes when the parked set reaches the target or its wait
-    // timed out — but never while another flush is mid-flight, because the
-    // model forward is single-threaded by contract. If we observe
+    // timed out — but never while another flush is mid-flight (one flush
+    // at a time, contract 1), so late arrivals coalesce. If we observe
     // !flushing_ and !done, our entry is still parked (a finished flush
     // settles every entry it stole before clearing flushing_), so the
     // flush we start below always includes ourselves.
@@ -115,11 +127,6 @@ std::vector<query::NodeStats> BatchRendezvous::Evaluate(
     }
   }
   return std::move(pending.result);
-}
-
-BatchRendezvous::Stats BatchRendezvous::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace serve

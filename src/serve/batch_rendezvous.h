@@ -11,11 +11,13 @@
 //
 // Two contracts the serving layer depends on:
 //
-//  1. Serialization. The model forward mutates scratch state (attention
-//     score caches), so it is not concurrently callable. Exactly one
-//     flush runs at a time; every model evaluation in the service goes
-//     through Evaluate(), so the rendezvous *is* the model's concurrency
-//     guard.
+//  1. One flush at a time. A rendezvous runs its fused forwards one after
+//     another, so requests arriving during a flush park and ride the next
+//     one instead of starting forwards of their own. This is a batching
+//     policy, not the model's concurrency guard: a const QpSeeker is safe
+//     to call from any number of threads (planner_api.h), so the
+//     rendezvous of two model generations, or of two tenants sharing one
+//     model, may flush at the same time.
 //  2. Determinism. PredictPlansMulti evaluates each fused request exactly
 //     as PredictPlansBatch would (per-request encoding, dedup, caching;
 //     row-independent dense kernels), so the NodeStats a request receives
@@ -45,12 +47,6 @@ struct BatchRendezvousOptions {
   /// max_batch): a lone request never waits at all, so single-client
   /// latency pays nothing for the batching machinery.
   double flush_timeout_ms = 0.5;
-
-  /// Optional pool for per-plan annotation inside the fused evaluation.
-  /// Must NOT be the pool running the planning tasks themselves: those
-  /// workers are parked in Evaluate() during a flush and a ParallelFor
-  /// waiting on them would deadlock. Null = annotate serially.
-  util::ThreadPool* annotation_pool = nullptr;
 };
 
 class BatchRendezvous {
@@ -67,7 +63,23 @@ class BatchRendezvous {
     }
   };
 
-  BatchRendezvous(const core::QpSeeker* model, BatchRendezvousOptions options);
+  /// Flush counters, shareable across rendezvous. A service hands one set
+  /// to the rendezvous of every model generation it serves, so flushes on a
+  /// retired generation stay counted exactly once.
+  class Counters {
+   public:
+    void RecordFlush(int64_t queries, int64_t plans);
+    Stats snapshot() const;
+
+   private:
+    mutable std::mutex mu_;
+    Stats stats_;  ///< guarded by mu_
+  };
+
+  /// `counters` (non-owning, must outlive the rendezvous) receives every
+  /// flush.
+  BatchRendezvous(const core::QpSeeker* model, BatchRendezvousOptions options,
+                  Counters* counters);
 
   /// Evaluates `plans` for `q`, fused with whatever other requests are in
   /// flight. Blocks until the result is available. Safe to call from many
@@ -78,8 +90,6 @@ class BatchRendezvous {
   /// Concurrency hint: how many planning requests are currently in flight.
   /// The flush target is min(expected, max_batch), clamped to >= 1.
   void SetExpected(int n) { expected_.store(n, std::memory_order_relaxed); }
-
-  Stats stats() const;
 
  private:
   struct Pending {
@@ -103,7 +113,7 @@ class BatchRendezvous {
   std::condition_variable cv_;
   std::vector<Pending*> waiting_;
   bool flushing_ = false;
-  Stats stats_;
+  Counters* const counters_;
 };
 
 }  // namespace serve

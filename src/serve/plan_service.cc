@@ -78,15 +78,6 @@ void SleepForBackoff(double backoff_ms) {
       std::chrono::duration<double, std::milli>(backoff_ms));
 }
 
-/// Merges batching counters from a retired rendezvous into an accumulator.
-void AccumulateBatching(BatchRendezvous::Stats* into,
-                        const BatchRendezvous::Stats& s) {
-  into->flushes += s.flushes;
-  into->fused_queries += s.fused_queries;
-  into->fused_plans += s.fused_plans;
-  into->max_fused = std::max(into->max_fused, s.max_fused);
-}
-
 }  // namespace
 
 /// One admitted request: the PlanRequest lives here until a worker picks
@@ -97,28 +88,13 @@ struct PlanService::Request {
   Timer queued;  ///< admission -> task start, for qps.serve.queue_ms
 };
 
-/// A planner instance plus the mutex making it exclusive to one request at
-/// a time. Backends carry per-request state (guard stats), so instances are
-/// per-slot rather than shared; slots rotate round-robin so with <=
-/// `workers` concurrent tasks contention is nil.
-struct PlanService::PlannerSlot {
-  std::mutex mu;
-  std::unique_ptr<core::Planner> planner;
-};
-
 StatusOr<std::unique_ptr<PlanService>> PlanService::Create(
     PlanServiceDeps deps, PlanServiceOptions options) {
+  std::shared_ptr<const core::QpSeeker> model = std::move(deps.model);
   std::unique_ptr<PlanService> service(
       new PlanService(std::move(deps), std::move(options)));
-  const size_t slots =
-      static_cast<size_t>(std::max(1, service->options_.workers));
-  QPS_ASSIGN_OR_RETURN(auto planners,
-                       service->BuildPlanners(service->model_.get(), slots));
-  for (auto& planner : planners) {
-    auto slot = std::make_unique<PlannerSlot>();
-    slot->planner = std::move(planner);
-    service->slots_.push_back(std::move(slot));
-  }
+  QPS_ASSIGN_OR_RETURN(service->generation_,
+                       service->BuildGeneration(std::move(model)));
   if (service->options_.shed_to_baseline) {
     if (service->baseline_ == nullptr) {
       return Status::InvalidArgument(
@@ -126,40 +102,38 @@ StatusOr<std::unique_ptr<PlanService>> PlanService::Create(
     }
     QPS_ASSIGN_OR_RETURN(
         service->shed_planner_,
-        core::MakePlanner("baseline", service->model_.get(),
-                          service->baseline_, service->gopts_));
+        core::MakePlanner("baseline", nullptr, service->baseline_));
   }
   return service;
 }
 
-StatusOr<std::vector<std::unique_ptr<core::Planner>>>
-PlanService::BuildPlanners(const core::QpSeeker* model, size_t slots) const {
-  // One breaker per (tenant, model generation), shared by every slot: each
-  // worker's ladder sees the tenant's whole traffic, not a 1/workers share.
-  core::GuardedOptions gopts = gopts_;
-  gopts.breaker = core::MakeLadderBreaker(gopts_.clock);
-  std::vector<std::unique_ptr<core::Planner>> planners;
-  planners.reserve(slots);
-  for (size_t i = 0; i < slots; ++i) {
-    QPS_ASSIGN_OR_RETURN(
-        auto planner, core::MakePlanner(planner_name_, model, baseline_, gopts));
-    planners.push_back(std::move(planner));
-  }
-  return planners;
-}
-
-PlanService::PlanService(PlanServiceDeps deps, PlanServiceOptions options)
-    : model_(std::move(deps.model)),
-      options_(std::move(options)),
-      planner_name_(std::move(deps.planner_name)),
-      baseline_(deps.baseline),
-      gopts_(deps.guard_options) {
-  if (model_ != nullptr) {
+StatusOr<std::shared_ptr<const PlanService::Generation>>
+PlanService::BuildGeneration(std::shared_ptr<const core::QpSeeker> model) {
+  auto gen = std::make_shared<Generation>();
+  QPS_ASSIGN_OR_RETURN(gen->planner, core::MakePlanner(planner_name_, model.get(),
+                                                       baseline_, gopts_));
+  if (model != nullptr) {
     BatchRendezvousOptions ropts;
     ropts.max_batch = options_.max_batch;
     ropts.flush_timeout_ms = options_.flush_timeout_ms;
-    rendezvous_ = std::make_shared<BatchRendezvous>(model_.get(), ropts);
+    gen->rendezvous =
+        std::make_unique<BatchRendezvous>(model.get(), ropts, &batching_);
   }
+  gen->model = std::move(model);
+  return std::shared_ptr<const Generation>(std::move(gen));
+}
+
+std::shared_ptr<const PlanService::Generation> PlanService::CurrentGeneration()
+    const {
+  std::lock_guard<std::mutex> lock(model_mu_);
+  return generation_;
+}
+
+PlanService::PlanService(PlanServiceDeps deps, PlanServiceOptions options)
+    : options_(std::move(options)),
+      planner_name_(std::move(deps.planner_name)),
+      baseline_(deps.baseline),
+      gopts_(deps.guard_options) {
   if (!options_.tenant_id.empty()) {
     auto& win = obs::WindowRegistry::Global();
     tenant_requests_ =
@@ -197,7 +171,6 @@ void PlanService::Quiesce() {
 
 StatusOr<core::PlanResult> PlanService::PlanShedded(const query::Query& q,
                                                     const char* reason) {
-  std::lock_guard<std::mutex> lock(shed_mu_);
   auto result = shed_planner_->Plan(q, core::PlanRequestOptions{});
   if (result.ok()) result->fallback_reason = std::string("shed: ") + reason;
   return result;
@@ -345,9 +318,8 @@ void PlanService::RunRequest(Request& req) {
   const int inflight = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
   sm.inflight->Set(static_cast<double>(inflight));
   sm.queue_depth->Set(static_cast<double>(queue_depth()));
-  {
-    std::lock_guard<std::mutex> lock(model_mu_);
-    if (rendezvous_ != nullptr) rendezvous_->SetExpected(inflight);
+  if (auto gen = CurrentGeneration(); gen->rendezvous != nullptr) {
+    gen->rendezvous->SetExpected(inflight);
   }
 
   QPS_TRACE_SPAN_VAR(span, "serve.plan");
@@ -379,26 +351,16 @@ void PlanService::RunRequest(Request& req) {
     // Planning runs under the tenant's fault context, so chaos specs with
     // only_context follow this request onto whichever worker runs it.
     fault::ScopedContext fault_ctx(ropts.tenant_id);
-    const size_t idx =
-        next_slot_.fetch_add(1, std::memory_order_relaxed) % slots_.size();
-    std::lock_guard<std::mutex> lock(slots_[idx]->mu);
-    // Snapshot the rendezvous while holding the slot: SwapModel replaces
-    // planner and rendezvous together under every slot mutex, so this pair
-    // is consistent, and the shared_ptr capture keeps the rendezvous (and
-    // through the service's model_ handoff, the model) alive for the whole
-    // Plan call even if a swap lands right after it.
-    std::shared_ptr<BatchRendezvous> rdv;
-    {
-      std::lock_guard<std::mutex> mlock(model_mu_);
-      rdv = rendezvous_;
-    }
-    if (rdv != nullptr) {
+    // The snapshot keeps planner, rendezvous and model alive for the whole
+    // attempt, even if a swap publishes a new generation meanwhile.
+    const std::shared_ptr<const Generation> gen = CurrentGeneration();
+    if (BatchRendezvous* rdv = gen->rendezvous.get(); rdv != nullptr) {
       ropts.evaluate = [rdv](const query::Query& q,
                              const std::vector<const query::PlanNode*>& plans) {
         return rdv->Evaluate(q, plans);
       };
     }
-    return slots_[idx]->planner->Plan(req.request.query, ropts);
+    return gen->planner->Plan(req.request.query, ropts);
   };
 
   // Worker-side retry: transient planning failures re-plan here, each
@@ -499,24 +461,19 @@ void PlanService::RunRequest(Request& req) {
 
   const int remaining = inflight_.fetch_sub(1, std::memory_order_relaxed) - 1;
   sm.inflight->Set(static_cast<double>(remaining));
-  {
-    std::lock_guard<std::mutex> lock(model_mu_);
-    if (rendezvous_ != nullptr) rendezvous_->SetExpected(std::max(remaining, 1));
+  if (auto gen = CurrentGeneration(); gen->rendezvous != nullptr) {
+    gen->rendezvous->SetExpected(std::max(remaining, 1));
   }
   req.promise.set_value(std::move(result));
 }
 
 PlanService::Stats PlanService::stats() const {
-  // Both locks at once (std::scoped_lock's deadlock-avoiding acquisition):
-  // the counter snapshot and the batching merge see the same instant, so a
-  // SwapModel retiring a rendezvous between the two reads cannot tear the
-  // view.
-  std::scoped_lock lock(stats_mu_, model_mu_);
-  Stats out = stats_;
-  out.batching = retired_batching_;
-  if (rendezvous_ != nullptr) {
-    AccumulateBatching(&out.batching, rendezvous_->stats());
+  Stats out;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    out = stats_;
   }
+  out.batching = batching_.snapshot();
   return out;
 }
 
@@ -526,42 +483,18 @@ Status PlanService::SwapModel(std::shared_ptr<const core::QpSeeker> model) {
   }
   // Build everything fallible before touching live state: a construction
   // failure leaves the old model serving untouched.
-  QPS_ASSIGN_OR_RETURN(auto fresh, BuildPlanners(model.get(), slots_.size()));
-  BatchRendezvousOptions ropts;
-  ropts.max_batch = options_.max_batch;
-  ropts.flush_timeout_ms = options_.flush_timeout_ms;
-  auto rendezvous = std::make_shared<BatchRendezvous>(model.get(), ropts);
-
-  // Quiesce: acquire every slot in index order. Each acquisition waits out
-  // the request currently planning there; requests parked in a rendezvous
-  // flush drain via its timeout, so this converges. New requests that grab
-  // a slot after us see the new planner + rendezvous pair.
-  std::vector<std::unique_lock<std::mutex>> slot_locks;
-  slot_locks.reserve(slots_.size());
-  for (auto& slot : slots_) slot_locks.emplace_back(slot->mu);
-
-  std::lock_guard<std::mutex> lock(model_mu_);
-  if (rendezvous_ != nullptr) {
-    AccumulateBatching(&retired_batching_, rendezvous_->stats());
+  QPS_ASSIGN_OR_RETURN(auto gen, BuildGeneration(std::move(model)));
+  {
+    std::lock_guard<std::mutex> lock(model_mu_);
+    generation_.swap(gen);
   }
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    slots_[i]->planner = std::move(fresh[i]);
-  }
-  rendezvous_ = std::move(rendezvous);
-  model_ = std::move(model);
+  // `gen` now holds the retired generation; its last in-flight reader (or
+  // this scope) releases it outside the lock.
   return Status::OK();
 }
 
 core::GuardStats PlanService::guard_stats() const {
-  core::GuardStats total;
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    std::lock_guard<std::mutex> lock(slots_[i]->mu);
-    core::GuardStats s = slots_[i]->planner->guard_stats();
-    // Every slot reads the same shared breaker: count its transitions once.
-    if (i > 0) s.circuit_opens = s.circuit_closes = 0;
-    total += s;
-  }
-  return total;
+  return CurrentGeneration()->planner->guard_stats();
 }
 
 }  // namespace serve

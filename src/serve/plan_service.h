@@ -11,14 +11,12 @@
 //        to an inline DP plan on the caller's thread — load never builds an
 //        unbounded backlog. When the service runs on a shared (shard) pool,
 //        `pool_max_queue` is a second backstop on the pool itself.
-//     -> planning: a per-worker core::Planner instance (backends keep
-//        per-request state like guard counters, so instances are not
-//        shared across threads) runs with the request deadline and a
-//        BatchRendezvous evaluate hook the service injects itself — the
-//        hook is not settable by callers, so nothing can silently bypass
-//        (or race) the rendezvous. The "guarded" ladders of all workers
-//        share one breaker per model generation, so the breaker sees the
-//        tenant's whole traffic.
+//     -> planning: the service's one core::Planner (Plan() is const and
+//        thread-safe, planner_api.h) runs on every worker with the request
+//        deadline and a BatchRendezvous evaluate hook the service injects
+//        itself — the hook is not settable by callers, so nothing can
+//        silently bypass the rendezvous. Sharing one planner means the
+//        "guarded" ladder's breaker sees the tenant's whole traffic.
 //     -> batching: every model evaluation from every in-flight request
 //        meets in the rendezvous and rides a fused PredictPlansMulti
 //        forward. Plans stay bit-identical to serial planning (see
@@ -26,6 +24,11 @@
 //     -> deadline ladder: an expired deadline truncates the anytime search
 //        and returns the best plan found so far with deadline_hit set;
 //        only fail_on_deadline requests see kDeadlineExceeded.
+//
+// The planner, its model and its rendezvous form one immutable
+// *generation*. Each planning attempt snapshots the current generation;
+// SwapModel publishes a new one without waiting for anything, and
+// in-flight requests finish on the generation they started with.
 //
 // Construction goes through PlanServiceDeps (named fields, shared model
 // ownership from the start); the sharded multi-tenant layer
@@ -71,8 +74,8 @@ namespace serve {
 /// traditional planner. The model is shared from construction, so there is
 /// no pre-/post-SwapModel ownership split inside the service.
 struct PlanServiceDeps {
-  /// Backend built per worker via core::MakePlanner: "baseline", "neural",
-  /// or "guarded".
+  /// Backend built via core::MakePlanner: "baseline", "neural", or
+  /// "guarded".
   std::string planner_name = "baseline";
 
   /// The serving model. May be null only for the "baseline" backend (no
@@ -86,7 +89,6 @@ struct PlanServiceDeps {
   const optimizer::Planner* baseline = nullptr;
 
   /// Routing / MCTS / guard-rail configuration (per-backend subset used).
-  /// Its `breaker` is ignored: the service makes one per model generation.
   core::GuardedOptions guard_options;
 };
 
@@ -133,8 +135,8 @@ using AttemptCallback =
     std::function<void(const PlanRequest&, const Status&, bool final_attempt)>;
 
 struct PlanServiceOptions {
-  /// Planner slots, and worker threads when the service owns its pool.
-  /// 0 runs every request inline on the caller (never sheds).
+  /// Worker threads when the service owns its pool. 0 runs every request
+  /// inline on the caller (never sheds).
   int workers = 4;
 
   /// Admission bound: requests beyond `max_queue` admitted-but-unstarted
@@ -186,7 +188,7 @@ struct PlanServiceOptions {
   AttemptCallback on_attempt;
 };
 
-/// Owns the planning backends and the rendezvous (and the worker pool,
+/// Owns the planning backend and the rendezvous (and the worker pool,
 /// unless deps point it at a shared one). Thread-safe: Submit may be
 /// called from any number of client threads.
 class PlanService {
@@ -204,9 +206,9 @@ class PlanService {
     BatchRendezvous::Stats batching;
   };
 
-  /// Builds one `deps.planner_name` backend per worker via
-  /// core::MakePlanner. Returns kInvalidArgument for unknown backends or a
-  /// shed_to_baseline config without a baseline.
+  /// Builds the `deps.planner_name` backend via core::MakePlanner. Returns
+  /// kInvalidArgument for unknown backends or a shed_to_baseline config
+  /// without a baseline.
   static StatusOr<std::unique_ptr<PlanService>> Create(
       PlanServiceDeps deps, PlanServiceOptions options = {});
 
@@ -237,25 +239,23 @@ class PlanService {
     return static_cast<size_t>(pending_.load(std::memory_order_relaxed));
   }
 
-  /// One coherent snapshot: counters and batching stats are read under
-  /// both locks at once, so a concurrent SwapModel can never show a
-  /// rendezvous's flushes both in `batching` and missing from the retired
-  /// accumulator (or vice versa).
+  /// Request counters plus the batching counters every generation's
+  /// rendezvous records into, so flushes of a generation retired by
+  /// SwapModel are counted exactly once.
   Stats stats() const;
 
-  /// Guard counters summed across the per-worker planners; the circuit
-  /// transitions come once from the breaker they share.
+  /// Guard counters of the current generation's planner.
   core::GuardStats guard_stats() const;
 
   /// Atomically replaces the serving model under in-flight traffic: builds
-  /// fresh per-slot planners (on a fresh, closed breaker) and a fresh
-  /// rendezvous for `model`, quiesces
-  /// every planner slot (in-flight requests finish on the model they
-  /// started with), and swaps. Requests submitted after SwapModel returns
-  /// plan against the new model; the shared_ptr keeps the old model alive
-  /// until its last in-flight reader drops it. On error (e.g. planner
-  /// construction fails) the old model keeps serving. Designed as the
-  /// ModelManager swap hook; safe to call concurrently with Submit.
+  /// a new generation (planner on a fresh, closed breaker, and
+  /// rendezvous) for `model` and publishes it. Requests planning at that
+  /// moment finish on the generation they started with, which keeps the
+  /// old model alive until its last reader drops it; attempts started
+  /// after SwapModel returns plan against the new model. Never waits on
+  /// in-flight work. On error (e.g. planner construction fails) the old
+  /// model keeps serving. Designed as the ModelManager swap hook; safe to
+  /// call concurrently with Submit.
   Status SwapModel(std::shared_ptr<const core::QpSeeker> model);
 
   /// Blocks until every scheduled task has finished (admitted requests
@@ -271,15 +271,23 @@ class PlanService {
   PlanService(PlanServiceDeps deps, PlanServiceOptions options);
 
   struct Request;
-  struct PlannerSlot;
+
+  /// Everything one model plans with. Immutable once published; requests
+  /// hold a shared_ptr to it for the length of a planning attempt.
+  struct Generation {
+    std::shared_ptr<const core::QpSeeker> model;
+    std::unique_ptr<const core::Planner> planner;
+    /// Null without a model (the "baseline" backend).
+    std::unique_ptr<BatchRendezvous> rendezvous;
+  };
 
   util::ThreadPool& active_pool() const {
     return options_.pool != nullptr ? *options_.pool : *owned_pool_;
   }
 
-  /// One planner per slot for `model`, all gated by one new ladder breaker.
-  StatusOr<std::vector<std::unique_ptr<core::Planner>>> BuildPlanners(
-      const core::QpSeeker* model, size_t slots) const;
+  StatusOr<std::shared_ptr<const Generation>> BuildGeneration(
+      std::shared_ptr<const core::QpSeeker> model);
+  std::shared_ptr<const Generation> CurrentGeneration() const;
 
   void RunRequest(Request& req);
   /// Terminal shed path: degrade to the inline baseline or reject, plus
@@ -293,31 +301,24 @@ class PlanService {
   void TaskStarted();
   void TaskFinished();
 
-  std::shared_ptr<const core::QpSeeker> model_;
   PlanServiceOptions options_;
 
-  /// Create() deps, kept for rebuilding planners in SwapModel.
+  /// Create() deps, kept for building generations in SwapModel.
   std::string planner_name_;
   const optimizer::Planner* baseline_ = nullptr;
   core::GuardedOptions gopts_;
 
-  std::vector<std::unique_ptr<PlannerSlot>> slots_;
-  std::atomic<size_t> next_slot_{0};
+  /// Baseline backend for the shed-degrade path, which runs inline on the
+  /// submitting thread and must not depend on the model generation.
+  std::unique_ptr<const core::Planner> shed_planner_;
 
-  /// Dedicated baseline instance for the shed-degrade path (inline on the
-  /// submitting thread, so it must not contend for planner slots).
-  std::unique_ptr<core::Planner> shed_planner_;
-  std::mutex shed_mu_;
+  /// Flush counters shared by every generation's rendezvous.
+  BatchRendezvous::Counters batching_;
 
-  /// Guards model_/rendezvous_/retired_batching_ across hot swaps. Lock
-  /// order where others are held: slot mutex -> model_mu_ (SwapModel
-  /// acquires every slot mutex before this one); stats() takes stats_mu_
-  /// and model_mu_ together via std::scoped_lock (deadlock-avoiding, no
-  /// other path nests the two).
+  /// Guards generation_, the pointer only: a generation is immutable.
+  /// No other lock is ever taken while holding it.
   mutable std::mutex model_mu_;
-  std::shared_ptr<BatchRendezvous> rendezvous_;
-  /// Batching counters accumulated from rendezvous retired by SwapModel.
-  BatchRendezvous::Stats retired_batching_;
+  std::shared_ptr<const Generation> generation_;  ///< guarded by model_mu_
 
   /// Admitted-but-unstarted requests: the admission bound and queue gauge.
   std::atomic<int64_t> pending_{0};

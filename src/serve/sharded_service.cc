@@ -99,7 +99,6 @@ Status ShardedPlanService::AddTenant(TenantSpec spec) {
   Shard& shard = *shards_[static_cast<size_t>(shard_index)];
 
   PlanServiceOptions sopts;
-  sopts.workers = options_.workers_per_shard;  // planner slots
   sopts.max_queue = spec.quota.max_pending;
   sopts.pool = shard.pool.get();
   sopts.pool_max_queue = options_.shard_max_queue;

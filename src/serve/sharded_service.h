@@ -4,7 +4,7 @@
 // workloads in one process, isolated from each other. The service owns N
 // shards; each shard owns one worker pool and hosts the subset of tenants
 // the consistent-hash ring (tenant.h) assigns to it. Every tenant gets its
-// own PlanService core — per-tenant planner slots, admission quota, and
+// own PlanService core — its own planner, admission quota, and
 // BatchRendezvous — running on the shard's pool, so:
 //
 //  - batching stays intra-tenant and therefore intra-model (cross-query
@@ -14,9 +14,9 @@
 //    on its own budget, while cold tenants on the same shard keep their
 //    latency — the shard's pool_max_queue is only a backstop against
 //    aggregate overload;
-//  - model swaps are per tenant (SwapTenantModel quiesces only that
-//    tenant's planner slots), so a ModelManager canary gate can guard each
-//    tenant's reloads independently.
+//  - model swaps are per tenant (SwapTenantModel replaces only that
+//    tenant's model generation), so a ModelManager canary gate can guard
+//    each tenant's reloads independently.
 //
 // Control plane: AddTenant / RemoveTenant / SwapTenantModel are safe under
 // live traffic. RemoveTenant unroutes the tenant first (new Submits return
@@ -58,9 +58,8 @@ struct ShardedPlanServiceOptions {
   /// Shard count; each shard runs its own worker pool.
   int shards = 2;
 
-  /// Worker threads per shard pool. Also the planner-slot count of every
-  /// tenant core on the shard (a tenant can use the whole shard when it is
-  /// alone on it).
+  /// Worker threads per shard pool (a tenant can use the whole shard when
+  /// it is alone on it).
   int workers_per_shard = 4;
 
   /// Backstop on each shard pool's queue, across all of its tenants

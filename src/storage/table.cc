@@ -30,6 +30,7 @@ int Table::ColumnIndex(const std::string& name) const {
 }
 
 const std::vector<uint32_t>& Table::OrderedIndex(int col) const {
+  std::lock_guard<std::mutex> lock(indexes_mu_);
   auto it = indexes_.find(col);
   if (it != indexes_.end()) return it->second;
   QPS_CHECK(col >= 0 && col < num_columns()) << "bad column index";

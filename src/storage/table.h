@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -95,6 +96,8 @@ class Table {
 
   /// Ordered "index" on a column: row ids sorted by the column's numeric
   /// value. Built on first use and cached (models a B-tree's leaf order).
+  /// Safe to call concurrently; the returned reference stays valid for the
+  /// table's lifetime.
   const std::vector<uint32_t>& OrderedIndex(int col) const;
 
   /// B-tree height model for cost formulas: ceil(log_fanout(leaf_pages)).
@@ -105,7 +108,9 @@ class Table {
   std::string name_;
   std::vector<std::unique_ptr<Column>> columns_;
   std::vector<ColumnMeta> metas_;
-  mutable std::unordered_map<int, std::vector<uint32_t>> indexes_;
+  mutable std::mutex indexes_mu_;
+  /// Never erased, and node-based, so references survive rehashing.
+  mutable std::unordered_map<int, std::vector<uint32_t>> indexes_;  ///< guarded by indexes_mu_
 };
 
 }  // namespace storage

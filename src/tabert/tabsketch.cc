@@ -33,6 +33,23 @@ TabSketch::TabSketch(const storage::Database& db, const stats::DatabaseStats& st
   projection_ = nn::Tensor::Randn(kRawFeatures, dim, &rng,
                                   1.0f / std::sqrt(static_cast<float>(kRawFeatures)));
   mixer_ = nn::Tensor::Randn(dim, dim, &rng, 1.0f / std::sqrt(static_cast<float>(dim)));
+
+  // Unconditioned representations. A table's [CLS] is the mean of its
+  // column representations, accumulated in column order.
+  column_reps_.resize(static_cast<size_t>(db_.num_tables()));
+  table_reps_.reserve(static_cast<size_t>(db_.num_tables()));
+  for (int table = 0; table < db_.num_tables(); ++table) {
+    const int ncols = static_cast<int>(db_.table(table).num_columns());
+    const float denom = static_cast<float>(std::max(1, ncols));
+    auto& reps = column_reps_[static_cast<size_t>(table)];
+    nn::Tensor cls(1, dim);
+    for (int c = 0; c < ncols; ++c) {
+      reps.push_back(Project(RawColumnFeatures(table, c, nullptr)));
+      for (int64_t j = 0; j < dim; ++j) cls(0, j) += reps.back()(0, j) / denom;
+    }
+    table_reps_.push_back(std::move(cls));
+  }
+  ResetTiming();
 }
 
 nn::Tensor TabSketch::RawColumnFeatures(int table, int column,
@@ -101,40 +118,21 @@ nn::Tensor TabSketch::Project(const nn::Tensor& raw) const {
     nn::MatMulInto(h, mixer_, &tmp);
     for (int64_t j = 0; j < dim; ++j) h(0, j) = std::tanh(tmp(0, j) + h(0, j));
   }
-  total_time_ms_ += timer.ElapsedMillis();
-  ++num_calls_;
+  total_time_ms_.fetch_add(timer.ElapsedMillis(), std::memory_order_relaxed);
+  num_calls_.fetch_add(1, std::memory_order_relaxed);
   return h;
 }
 
 nn::Tensor TabSketch::ColumnRepresentation(int table, int column,
                                            const query::FilterPredicate* pred) const {
   if (pred == nullptr) {
-    const int64_t key = (static_cast<int64_t>(table) << 32) | (column + 1);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-    nn::Tensor rep = Project(RawColumnFeatures(table, column, nullptr));
-    cache_.emplace(key, rep);
-    return rep;
+    return column_reps_[static_cast<size_t>(table)][static_cast<size_t>(column)];
   }
   return Project(RawColumnFeatures(table, column, pred));
 }
 
 nn::Tensor TabSketch::TableRepresentation(int table) const {
-  const int64_t key = static_cast<int64_t>(table) << 32;
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-  // [CLS]: mean of column representations (computed through the same
-  // projection, so timing accounts for each column).
-  const storage::Table& t = db_.table(table);
-  const int dim = config_.ResolvedDim();
-  nn::Tensor cls(1, dim);
-  const int ncols = std::max<int>(1, static_cast<int>(t.num_columns()));
-  for (int c = 0; c < t.num_columns(); ++c) {
-    nn::Tensor rep = Project(RawColumnFeatures(table, c, nullptr));
-    for (int64_t j = 0; j < dim; ++j) cls(0, j) += rep(0, j) / static_cast<float>(ncols);
-  }
-  cache_.emplace(key, cls);
-  return cls;
+  return table_reps_[static_cast<size_t>(table)];
 }
 
 nn::Tensor TabSketch::ScanDataRepresentation(const query::Query& q, int rel) const {

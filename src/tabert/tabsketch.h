@@ -20,8 +20,9 @@
 #ifndef QPS_TABERT_TABSKETCH_H_
 #define QPS_TABERT_TABSKETCH_H_
 
+#include <atomic>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "nn/tensor.h"
 #include "query/query.h"
@@ -45,7 +46,11 @@ struct TabSketchConfig {
   }
 };
 
-/// Stateless-after-construction encoder of tables and columns.
+/// Stateless-after-construction encoder of tables and columns. Every
+/// unconditioned column and table representation is a fixed function of the
+/// statistics, so the constructor computes them all up front; the const
+/// accessors only read them (or project a predicate-conditioned column) and
+/// are safe to call from any number of threads.
 class TabSketch {
  public:
   TabSketch(const storage::Database& db, const stats::DatabaseStats& stats,
@@ -68,12 +73,16 @@ class TabSketch {
   int embedding_dim() const { return config_.ResolvedDim(); }
   const TabSketchConfig& config() const { return config_; }
 
-  /// Latency accounting (Figure 8 right: avg time spent in TaBERT).
-  double total_time_ms() const { return total_time_ms_; }
-  int64_t num_calls() const { return num_calls_; }
+  /// Latency accounting (Figure 8 right: avg time spent in TaBERT). Counts
+  /// query-time projections only: the constructor's eager pass over the
+  /// unconditioned representations ends with a reset.
+  double total_time_ms() const {
+    return total_time_ms_.load(std::memory_order_relaxed);
+  }
+  int64_t num_calls() const { return num_calls_.load(std::memory_order_relaxed); }
   void ResetTiming() const {
-    total_time_ms_ = 0.0;
-    num_calls_ = 0;
+    total_time_ms_.store(0.0, std::memory_order_relaxed);
+    num_calls_.store(0, std::memory_order_relaxed);
   }
 
   /// Raw (pre-projection) feature width: datatype(3) + size/ndv(3) +
@@ -90,9 +99,11 @@ class TabSketch {
   TabSketchConfig config_;
   nn::Tensor projection_;  ///< kRawFeatures x dim, fixed at construction
   nn::Tensor mixer_;       ///< dim x dim, applied K times ("vertical attention")
-  mutable double total_time_ms_ = 0.0;
-  mutable int64_t num_calls_ = 0;
-  mutable std::unordered_map<int64_t, nn::Tensor> cache_;  ///< unconditioned reps
+  /// Unconditioned representations, indexed [table][column] and [table].
+  std::vector<std::vector<nn::Tensor>> column_reps_;
+  std::vector<nn::Tensor> table_reps_;
+  mutable std::atomic<double> total_time_ms_{0.0};
+  mutable std::atomic<int64_t> num_calls_{0};
 };
 
 }  // namespace tabert

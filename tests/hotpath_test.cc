@@ -2,12 +2,16 @@
 //
 // Inference hot-path tests: tiled GEMM vs. a naive reference, batched
 // model forward vs. the autograd reference path, parallel-MCTS determinism
-// across thread counts, and the plan-prediction cache.
+// across thread counts, concurrent forwards on one cold model, and the
+// plan-prediction cache.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/mcts.h"
@@ -297,6 +301,66 @@ TEST_F(HotPathTest, MultiQueryFusedForwardMatchesPerQueryBatches) {
   for (size_t i = 0; i < lone_direct.size(); ++i) {
     EXPECT_EQ(lone[0][i].runtime_ms, lone_direct[i].runtime_ms) << "plan " << i;
   }
+}
+
+// A const QpSeeker is safe to share across threads: a freshly loaded model
+// that has never run a forward is hammered by PredictPlansMulti from
+// several threads at once, and every thread gets exactly what serial
+// evaluation on a second fresh load returns. Run under TSan in tier-1.
+TEST_F(HotPathTest, ColdModelServesConcurrentForwardsBitIdentically) {
+  const std::string path = ::testing::TempDir() + "/hotpath_cold_model.qps";
+  ASSERT_TRUE(MakeTrained(4).Save(path).ok());
+  auto load = [&] {
+    auto model = std::make_unique<QpSeeker>(
+        *db_, *stats_, QpSeekerConfig::ForScale(Scale::kSmoke), /*seed=*/3);
+    EXPECT_TRUE(model->Load(path).ok());
+    return model;
+  };
+
+  // Every query with all of its sampled plans: filtered and unfiltered
+  // scans over every table.
+  std::vector<PlanEvalRequest> requests(dataset_.queries.size());
+  for (size_t r = 0; r < requests.size(); ++r) {
+    requests[r].query = &dataset_.queries[r];
+  }
+  for (const auto& qep : dataset_.qeps) {
+    requests[static_cast<size_t>(qep.query_id)].plans.push_back(qep.plan.get());
+  }
+  const auto serial = load()->PredictPlansMulti(requests);
+
+  const auto cold = load();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<query::NodeStats>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Rotated request order, so threads start on different tables.
+      std::vector<PlanEvalRequest> rotated;
+      for (size_t r = 0; r < requests.size(); ++r) {
+        rotated.push_back(requests[(r + static_cast<size_t>(t)) % requests.size()]);
+      }
+      got[static_cast<size_t>(t)] = cold->PredictPlansMulti(rotated);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    const auto& out = got[static_cast<size_t>(t)];
+    ASSERT_EQ(out.size(), requests.size());
+    for (size_t k = 0; k < out.size(); ++k) {
+      const auto& want = serial[(k + static_cast<size_t>(t)) % requests.size()];
+      ASSERT_EQ(out[k].size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(out[k][i].cardinality, want[i].cardinality)
+            << "thread " << t << " request " << k << " plan " << i;
+        EXPECT_EQ(out[k][i].cost, want[i].cost)
+            << "thread " << t << " request " << k << " plan " << i;
+        EXPECT_EQ(out[k][i].runtime_ms, want[i].runtime_ms)
+            << "thread " << t << " request " << k << " plan " << i;
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(HotPathTest, MctsDeterministicAcrossThreadCounts) {

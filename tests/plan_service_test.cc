@@ -5,11 +5,13 @@
 // serial planning for fixed seeds (the cross-query batching determinism
 // contract), blown deadlines return best-so-far plans, a full admission
 // queue sheds (or degrades to the inline baseline), the rendezvous
-// actually fuses evaluations from different in-flight queries, and the
-// workers' ladders share one breaker per (tenant, model).
+// actually fuses evaluations from different in-flight queries, the
+// workers share one planner (and so one breaker) per (tenant, model), and
+// a model swap neither waits for nor loses the work in flight.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -338,7 +340,7 @@ TEST_F(PlanServiceTest, ShedToBaselineDegradesInsteadOfRejecting) {
   EXPECT_EQ(stats.shed_degraded, 4);
 }
 
-TEST_F(PlanServiceTest, GuardStatsAggregateAcrossWorkerPlanners) {
+TEST_F(PlanServiceTest, GuardStatsCountEveryRequestAcrossWorkers) {
   PlanServiceOptions opts;
   opts.workers = 4;
   auto service = MakeService("guarded", opts);
@@ -351,7 +353,8 @@ TEST_F(PlanServiceTest, GuardStatsAggregateAcrossWorkerPlanners) {
   }
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
 
-  // The per-worker guarded planners each saw a share; the sum is exact.
+  // Four workers plan concurrently on the one shared planner; its counts
+  // are exact.
   const core::GuardStats stats = service->guard_stats();
   EXPECT_EQ(stats.requests, kRequests);
   EXPECT_EQ(stats.neural_attempts, kRequests);
@@ -359,9 +362,9 @@ TEST_F(PlanServiceTest, GuardStatsAggregateAcrossWorkerPlanners) {
 }
 
 TEST_F(PlanServiceTest, WorkerLaddersShareOneBreaker) {
-  // The breaker is per (tenant, model), not per worker slot: a 4-worker
-  // service whose MCTS keeps failing trips after min_samples requests in
-  // total, where per-slot breakers would each see only a quarter of them.
+  // The breaker is per (tenant, model), not per worker: a 4-worker service
+  // whose MCTS keeps failing trips after min_samples requests in total,
+  // where per-worker breakers would each see only a quarter of them.
   const core::HealthOptions breaker;  // ladder breakers run on the defaults
   ManualClock clock;
   PlanServiceDeps deps = Deps("guarded");
@@ -377,8 +380,8 @@ TEST_F(PlanServiceTest, WorkerLaddersShareOneBreaker) {
   spec.sticky = true;
   fault::FaultInjector::Global().Arm("mcts.rollout", spec);
 
-  // Sequential requests rotate round-robin over the four slots; greedy
-  // saves every one of them.
+  // Sequential requests land on any of the four workers; greedy saves
+  // every one of them.
   for (int i = 0; i < breaker.min_samples; ++i) {
     auto result = service->Submit(Req(ThreeWay(), 30 + i)).get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -398,7 +401,7 @@ TEST_F(PlanServiceTest, WorkerLaddersShareOneBreaker) {
   EXPECT_EQ(shed->stage, core::PlanStage::kTraditional);
   EXPECT_EQ(shed->fallback_reason, "circuit open");
 
-  // Half-open probes from different slots recover the same breaker.
+  // Half-open probes from any worker recover the same breaker.
   clock.SetMillis(breaker.open_ms + 1.0);
   fault::FaultInjector::Global().DisarmAll();
   for (int i = 0; i < breaker.probe_recoveries; ++i) {
@@ -466,7 +469,8 @@ TEST_F(PlanServiceTest, RendezvousFusesConcurrentEvaluations) {
   BatchRendezvousOptions opts;
   opts.max_batch = 8;
   opts.flush_timeout_ms = 2000.0;
-  BatchRendezvous rendezvous(model_, opts);
+  BatchRendezvous::Counters counters;
+  BatchRendezvous rendezvous(model_, opts, &counters);
   rendezvous.SetExpected(4);
 
   std::vector<query::Query> queries;
@@ -492,7 +496,7 @@ TEST_F(PlanServiceTest, RendezvousFusesConcurrentEvaluations) {
   }
   for (auto& t : threads) t.join();
 
-  const auto stats = rendezvous.stats();
+  const auto stats = counters.snapshot();
   EXPECT_EQ(stats.flushes, 1);
   EXPECT_EQ(stats.fused_queries, 4);
   EXPECT_EQ(stats.max_fused, 4);
@@ -520,10 +524,10 @@ TEST_F(PlanServiceTest, ZeroWorkersPlansInlineOnTheCaller) {
   EXPECT_EQ(service->stats().completed, 1);
 }
 
-// stats() must hand back one coherent snapshot while SwapModel retires
-// rendezvous: the request counters (stats_mu_) and the batching
-// accumulator (model_mu_) are read under both locks at once. Under TSan
-// this also shakes out any unlocked access on the swap path itself.
+// stats() must hand back a sane snapshot while SwapModel retires
+// generations, whose rendezvous all record into the service's one set of
+// batching counters. Under TSan this also shakes out any unlocked access
+// on the swap path itself.
 TEST_F(PlanServiceTest, StatsSnapshotStaysCoherentAcrossSwapModel) {
   PlanServiceOptions opts;
   opts.workers = 2;
@@ -566,6 +570,47 @@ TEST_F(PlanServiceTest, StatsSnapshotStaysCoherentAcrossSwapModel) {
   EXPECT_EQ(stats.completed, kRounds * kPerRound);
   // Every rendezvous flush survived retirement into the merged view.
   EXPECT_GE(stats.batching.fused_queries, 0);
+}
+
+// A request in flight across SwapModel: the swap returns without waiting
+// for it, the request finishes on the generation it started with, and its
+// flushes appear in stats().batching exactly once. One worker and a lone
+// request make every model evaluation its own flush, so an unswapped
+// service planning the same (query, seed) gives the expected count.
+TEST_F(PlanServiceTest, SwapModelCountsInFlightFlushesExactlyOnce) {
+  PlanServiceOptions opts;
+  opts.workers = 1;
+  int64_t expected_flushes = 0;
+  {
+    auto reference = MakeService("neural", opts);
+    ASSERT_TRUE(reference->Submit(Req(ThreeWay(), 81)).get().ok());
+    expected_flushes = reference->stats().batching.flushes;
+  }
+  ASSERT_GT(expected_flushes, 0);
+
+  auto service = MakeService("neural", opts);
+  fault::FaultSpec stall;
+  stall.code = StatusCode::kOk;
+  stall.latency_ms = 300.0;
+  stall.trigger_on_hit = 1;
+  fault::FaultInjector::Global().Arm("mcts.rollout", stall);
+  auto in_flight = service->Submit(Req(ThreeWay(), 81));
+  while (service->inflight() == 0) std::this_thread::yield();
+
+  ASSERT_TRUE(service
+                  ->SwapModel(std::shared_ptr<const core::QpSeeker>(
+                      std::shared_ptr<const core::QpSeeker>(), model_))
+                  .ok());
+  EXPECT_EQ(in_flight.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "SwapModel waited for the request in flight";
+  ASSERT_TRUE(in_flight.get().ok());
+  EXPECT_EQ(service->stats().batching.flushes, expected_flushes);
+  EXPECT_EQ(service->stats().batching.fused_queries, expected_flushes);
+
+  // The next request plans on the new generation; both are counted.
+  ASSERT_TRUE(service->Submit(Req(ThreeWay(), 81)).get().ok());
+  EXPECT_EQ(service->stats().batching.flushes, 2 * expected_flushes);
 }
 
 }  // namespace

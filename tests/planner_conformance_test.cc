@@ -5,12 +5,14 @@
 // must satisfy the same contract — OK results carry a non-null, validated
 // plan with finite stats; malformed queries fail with the documented error
 // codes; a fixed request seed makes planning reproducible; deadlines
-// truncate the search instead of failing unless fail_on_deadline is set.
+// truncate the search instead of failing unless fail_on_deadline is set;
+// one instance serves concurrent callers exactly as it serves serial ones.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/guarded_planner.h"
@@ -155,6 +157,58 @@ TEST_F(PlannerConformanceTest, FixedSeedReproducesTheExactPlan) {
     EXPECT_EQ(first->plan->ToString(*db_, q), second->plan->ToString(*db_, q))
         << name << ": same request seed must reproduce the same plan";
     EXPECT_EQ(first->plans_evaluated, second->plans_evaluated) << name;
+  }
+}
+
+// Plan() is const and thread-safe (planner_api.h): one instance per
+// backend, called from 4 threads with fixed seeds, renders exactly the
+// plans serial planning does, and the ladder counts every call once. Run
+// under TSan in tier-1.
+TEST_F(PlannerConformanceTest, OneInstanceServesConcurrentCallers) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3;
+  constexpr int kCalls = kThreads * kPerThread;
+  std::vector<query::Query> queries;
+  for (int i = 0; i < kCalls; ++i) {
+    queries.push_back(i % 3 == 0 ? Simple() : Complex());
+  }
+  auto plan_one = [&](Planner& planner, int i) {
+    PlanRequestOptions ropts;
+    ropts.seed = 900 + static_cast<uint64_t>(i);
+    const query::Query& q = queries[static_cast<size_t>(i)];
+    auto result = planner.Plan(q, ropts);
+    return result.ok() ? result->plan->ToString(*db_, q)
+                       : "error: " + result.status().ToString();
+  };
+  for (const char* name : kBackends) {
+    std::vector<std::string> serial;
+    auto reference = Make(name);
+    for (int i = 0; i < kCalls; ++i) {
+      serial.push_back(plan_one(*reference, i));
+      ASSERT_EQ(serial.back().rfind("error: ", 0), std::string::npos)
+          << name << ": " << serial.back();
+    }
+
+    auto shared = Make(name);
+    std::vector<std::string> concurrent(kCalls);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int k = 0; k < kPerThread; ++k) {
+          const int i = t + k * kThreads;
+          concurrent[static_cast<size_t>(i)] = plan_one(*shared, i);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+
+    for (int i = 0; i < kCalls; ++i) {
+      EXPECT_EQ(concurrent[static_cast<size_t>(i)],
+                serial[static_cast<size_t>(i)])
+          << name << ": call " << i;
+    }
+    const bool guarded = std::string(name) == "guarded";
+    EXPECT_EQ(shared->guard_stats().requests, guarded ? kCalls : 0) << name;
   }
 }
 

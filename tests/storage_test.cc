@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "storage/csv.h"
 #include "storage/datagen.h"
@@ -65,6 +67,44 @@ TEST(TableTest, OrderedIndexIsSorted) {
   // Permutation property.
   std::set<uint32_t> uniq(perm.begin(), perm.end());
   EXPECT_EQ(uniq.size(), perm.size());
+}
+
+// OrderedIndex is built lazily inside a const accessor, so threads sharing
+// a table race to build it. Every thread must get the one cached, sorted
+// permutation of each column. Run under TSan in tier-1.
+TEST(TableTest, OrderedIndexIsSafeToBuildConcurrently) {
+  auto db = BuildToy(400);
+  const Table& b = db->table(db->TableIndex("b"));
+  const int ncols = static_cast<int>(b.num_columns());
+  ASSERT_GE(ncols, 3);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<const std::vector<uint32_t>*>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Staggered column order, so threads build different indexes at once.
+      for (int k = 0; k < ncols; ++k) {
+        got[static_cast<size_t>(t)].push_back(&b.OrderedIndex((k + t) % ncols));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int c = 0; c < ncols; ++c) {
+    const std::vector<uint32_t>* first = got[0][static_cast<size_t>(c)];
+    for (int t = 1; t < kThreads; ++t) {
+      const size_t k = static_cast<size_t>((c - t + ncols) % ncols);
+      EXPECT_EQ(got[static_cast<size_t>(t)][k], first) << "column " << c;
+    }
+    ASSERT_EQ(first->size(), static_cast<size_t>(b.num_rows()));
+    for (size_t i = 1; i < first->size(); ++i) {
+      ASSERT_LE(b.column(c).GetDouble((*first)[i - 1]),
+                b.column(c).GetDouble((*first)[i]))
+          << "column " << c;
+    }
+    EXPECT_EQ(std::set<uint32_t>(first->begin(), first->end()).size(),
+              first->size());
+  }
 }
 
 TEST(TableTest, BlockAndIndexModel) {
