@@ -7,8 +7,14 @@
 #
 # The Prometheus renderer translates dots to underscores, so an uppercase
 # letter or a stray character here would silently produce an invalid or
-# colliding exposition series. Run by scripts/tier1.sh; exits non-zero
-# listing every offending literal.
+# colliding exposition series.
+#
+# It also keeps one ledger per event (DESIGN.md §8): code under src/ feeds
+# windowed series only through obs::OwnedCounter / obs::OwnedHistogram,
+# so a src/ file outside src/obs/ that reaches WindowRegistry::Global()
+# for anything but TakeSnapshot() is reported. Readers in bench/, tools/
+# and tests/ are exempt. Run by scripts/tier1.sh; exits non-zero listing
+# every offending literal or call.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,11 +76,11 @@ while IFS= read -r name; do
       member="${member%%.*}"
       case "$member" in
         requests|served_neural|served_greedy|served_traditional|fallbacks|\
-        circuit_short_circuits|plan_ms|stage) ;;
+        circuit_short_circuits|plan_ms) ;;
         *)
           echo "unknown qps.guarded.* member: $name (allowed: requests" \
                "served_neural served_greedy served_traditional fallbacks" \
-               "circuit_short_circuits plan_ms stage)" >&2
+               "circuit_short_circuits plan_ms)" >&2
           bad=1
           ;;
       esac
@@ -94,8 +100,20 @@ while IFS= read -r name; do
   esac
 done <<< "$literals"
 
+# One ledger per event: no hand-held windowed mirrors outside src/obs/.
+while IFS= read -r hit; do
+  [ -z "$hit" ] && continue
+  echo "hand-held windowed series (use obs::OwnedCounter/OwnedHistogram):" \
+       "$hit" >&2
+  bad=1
+done < <(grep -rnE 'WindowRegistry::Global\(\)' --include='*.cc' \
+           --include='*.h' src \
+         | grep -v '^src/obs/' \
+         | grep -vE 'WindowRegistry::Global\(\)\.TakeSnapshot\(' || true)
+
 if [ "$bad" -ne 0 ]; then
-  echo "metric-name lint FAILED: names must match qps(\\.[a-z0-9_]+){2,}" >&2
+  echo "metric-name lint FAILED: names must match qps(\\.[a-z0-9_]+){2,}" \
+       "and windowed series must be fed through owned metrics" >&2
   exit 1
 fi
 echo "metric-name lint OK ($(printf '%s\n' "$literals" | wc -l) names)"

@@ -5,9 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/window.h"
 #include "util/logging.h"
-#include "util/metrics.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -15,41 +13,6 @@ namespace qps {
 namespace core {
 
 namespace {
-
-/// Pre-resolved hot-path metrics (DESIGN.md §8 naming convention).
-struct GuardMetrics {
-  metrics::Counter* requests;
-  metrics::Counter* served[3];  ///< indexed by PlanStage
-  metrics::Counter* fallbacks;
-  metrics::Counter* circuit_short_circuits;
-  metrics::Histogram* plan_ms;
-  /// Windowed ladder mix: which rung served recent traffic. Feeds the
-  /// "ladder" panel in qps_top and the Prometheus _window_rate series.
-  obs::WindowedCounter* stage_window[3];
-  obs::WindowedHistogram* plan_ms_window;
-
-  static const GuardMetrics& Get() {
-    static const GuardMetrics m = [] {
-      auto& reg = metrics::Registry::Global();
-      auto& win = obs::WindowRegistry::Global();
-      GuardMetrics out;
-      out.requests = reg.GetCounter("qps.guarded.requests");
-      out.served[0] = reg.GetCounter("qps.guarded.served_neural");
-      out.served[1] = reg.GetCounter("qps.guarded.served_greedy");
-      out.served[2] = reg.GetCounter("qps.guarded.served_traditional");
-      out.fallbacks = reg.GetCounter("qps.guarded.fallbacks");
-      out.circuit_short_circuits =
-          reg.GetCounter("qps.guarded.circuit_short_circuits");
-      out.plan_ms = reg.GetHistogram("qps.guarded.plan_ms");
-      out.stage_window[0] = win.GetCounter("qps.guarded.stage.neural");
-      out.stage_window[1] = win.GetCounter("qps.guarded.stage.greedy");
-      out.stage_window[2] = win.GetCounter("qps.guarded.stage.traditional");
-      out.plan_ms_window = win.GetHistogram("qps.guarded.plan_ms");
-      return out;
-    }();
-    return m;
-  }
-};
 
 /// A blown neural deadline counts as a failure once planning overruns
 /// this multiple of GuardedOptions::neural_deadline_ms.
@@ -66,18 +29,44 @@ std::string LadderKey(const std::string& tenant_id) {
 GuardedPlanner::GuardedPlanner(const QpSeeker* model,
                                const optimizer::Planner* baseline,
                                GuardedOptions options)
-    : model_(model), baseline_(baseline), options_(std::move(options)) {
+    : model_(model),
+      baseline_(baseline),
+      options_(std::move(options)),
+      requests_("qps.guarded.requests"),
+      served_{obs::OwnedCounter("qps.guarded.served_neural",
+                                obs::Feed::kWindowed),
+              obs::OwnedCounter("qps.guarded.served_greedy",
+                                obs::Feed::kWindowed),
+              obs::OwnedCounter("qps.guarded.served_traditional",
+                                obs::Feed::kWindowed)},
+      fallbacks_("qps.guarded.fallbacks"),
+      circuit_short_circuits_("qps.guarded.circuit_short_circuits"),
+      plan_ms_("qps.guarded.plan_ms", obs::Feed::kWindowed) {
   HealthOptions hopts;
   hopts.clock = options_.clock;
   breaker_ = std::make_unique<HealthMonitor>(hopts);
 }
 
 GuardStats GuardedPlanner::guard_stats() const {
+  const auto load = [](const std::atomic<int64_t>& n) {
+    return n.load(std::memory_order_relaxed);
+  };
   GuardStats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
+  out.requests = requests_.value();
+  out.neural_attempts = load(neural_attempts_);
+  out.neural_success = served_[static_cast<int>(PlanStage::kNeural)].value();
+  out.neural_invalid_plan = load(neural_invalid_plan_);
+  out.neural_nan = load(neural_nan_);
+  out.neural_deadline = load(neural_deadline_);
+  out.neural_error = load(neural_error_);
+  out.greedy_attempts = load(greedy_attempts_);
+  out.greedy_success = served_[static_cast<int>(PlanStage::kGreedy)].value();
+  out.greedy_failures = load(greedy_failures_);
+  out.traditional_attempts = load(traditional_attempts_);
+  out.traditional_success =
+      served_[static_cast<int>(PlanStage::kTraditional)].value();
+  out.traditional_failures = load(traditional_failures_);
+  out.circuit_short_circuits = circuit_short_circuits_.value();
   for (const auto& [key, s] : breaker_->AllStats()) {
     out.circuit_opens += s.quarantines;
     out.circuit_closes += s.recoveries;
@@ -91,9 +80,9 @@ HealthState GuardedPlanner::circuit_state(const std::string& tenant_id) const {
 
 Status GuardedPlanner::TryNeural(const query::Query& q,
                                  const PlanRequestOptions& ropts,
-                                 GuardStats* stats, PlanResult* out) const {
+                                 PlanResult* out) const {
   QPS_TRACE_SPAN("guarded.neural");
-  stats->neural_attempts += 1;
+  neural_attempts_.fetch_add(1, std::memory_order_relaxed);
   MctsOptions mopts = options_.hybrid.mcts;
   if (options_.neural_deadline_ms > 0.0) {
     mopts.time_budget_ms = std::min(mopts.time_budget_ms, options_.neural_deadline_ms);
@@ -107,24 +96,23 @@ Status GuardedPlanner::TryNeural(const query::Query& q,
   if (!mcts.ok()) {
     const Status& st = mcts.status();
     if (st.IsDeadlineExceeded()) {
-      stats->neural_deadline += 1;
+      neural_deadline_.fetch_add(1, std::memory_order_relaxed);
     } else if (st.message().find("non-finite") != std::string::npos) {
-      stats->neural_nan += 1;
+      neural_nan_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      stats->neural_error += 1;
+      neural_error_.fetch_add(1, std::memory_order_relaxed);
     }
     return st;
   }
   if (!std::isfinite(mcts->predicted_runtime_ms)) {
-    stats->neural_nan += 1;
+    neural_nan_.fetch_add(1, std::memory_order_relaxed);
     return Status::Internal("non-finite MCTS plan score");
   }
   Status valid = query::ValidatePlan(q, *mcts->plan);
   if (!valid.ok()) {
-    stats->neural_invalid_plan += 1;
+    neural_invalid_plan_.fetch_add(1, std::memory_order_relaxed);
     return valid;
   }
-  stats->neural_success += 1;
   out->node_stats = mcts->plan->estimated;
   out->node_stats.runtime_ms = mcts->predicted_runtime_ms;
   out->plan = std::move(mcts->plan);
@@ -137,9 +125,9 @@ Status GuardedPlanner::TryNeural(const query::Query& q,
 
 Status GuardedPlanner::TryGreedy(const query::Query& q,
                                  const PlanRequestOptions& ropts,
-                                 GuardStats* stats, PlanResult* out) const {
+                                 PlanResult* out) const {
   QPS_TRACE_SPAN("guarded.greedy");
-  stats->greedy_attempts += 1;
+  greedy_attempts_.fetch_add(1, std::memory_order_relaxed);
   auto greedy = GreedyPlan(*model_, q, ropts.evaluate, ropts.cancel);
   Status st = greedy.ok() ? Status::OK() : greedy.status();
   if (st.ok() && !std::isfinite(greedy->predicted_runtime_ms)) {
@@ -147,10 +135,9 @@ Status GuardedPlanner::TryGreedy(const query::Query& q,
   }
   if (st.ok()) st = query::ValidatePlan(q, *greedy->plan);
   if (!st.ok()) {
-    stats->greedy_failures += 1;
+    greedy_failures_.fetch_add(1, std::memory_order_relaxed);
     return st;
   }
-  stats->greedy_success += 1;
   out->node_stats = greedy->plan->estimated;
   out->node_stats.runtime_ms = greedy->predicted_runtime_ms;
   out->plan = std::move(greedy->plan);
@@ -162,18 +149,16 @@ Status GuardedPlanner::TryGreedy(const query::Query& q,
 
 Status GuardedPlanner::TryTraditional(const query::Query& q,
                                       const PlanRequestOptions& ropts,
-                                      GuardStats* stats,
                                       PlanResult* out) const {
   QPS_TRACE_SPAN("guarded.traditional");
-  stats->traditional_attempts += 1;
+  traditional_attempts_.fetch_add(1, std::memory_order_relaxed);
   auto plan = baseline_->Plan(q, {}, ropts.cancel);
   Status st = plan.ok() ? Status::OK() : plan.status();
   if (st.ok()) st = query::ValidatePlan(q, **plan);
   if (!st.ok()) {
-    stats->traditional_failures += 1;
+    traditional_failures_.fetch_add(1, std::memory_order_relaxed);
     return st;
   }
-  stats->traditional_success += 1;
   out->node_stats = (*plan)->estimated;
   out->plan = std::move(*plan);
   out->stage = PlanStage::kTraditional;
@@ -184,34 +169,20 @@ Status GuardedPlanner::TryTraditional(const query::Query& q,
 
 StatusOr<PlanResult> GuardedPlanner::Plan(const query::Query& q,
                                           const PlanRequestOptions& ropts) const {
-  GuardStats request_stats;
-  StatusOr<PlanResult> result = RunLadder(q, ropts, &request_stats);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_ += request_stats;
-  return result;
-}
-
-StatusOr<PlanResult> GuardedPlanner::RunLadder(const query::Query& q,
-                                               const PlanRequestOptions& ropts,
-                                               GuardStats* stats) const {
   QPS_RETURN_IF_ERROR(CheckPlannable(q));
   // An already-cancelled request never enters the ladder (and never counts
   // against the breaker — cancellation is caller-driven, not model health).
   QPS_RETURN_IF_ERROR(util::CheckCancel(ropts.cancel));
-  const GuardMetrics& gm = GuardMetrics::Get();
   QPS_TRACE_SPAN_VAR(span, "guarded.plan");
-  stats->requests += 1;
-  gm.requests->Increment();
+  requests_.Increment();
   Timer timer(&clock());
   PlanResult result;
 
   auto serve = [&]() -> StatusOr<PlanResult> {
     result.plan_ms = timer.ElapsedMillis();
-    gm.served[static_cast<int>(result.stage)]->Increment();
-    gm.stage_window[static_cast<int>(result.stage)]->Increment();
-    if (!result.fallback_reason.empty()) gm.fallbacks->Increment();
-    gm.plan_ms->Record(result.plan_ms);
-    gm.plan_ms_window->Record(result.plan_ms);
+    served_[static_cast<int>(result.stage)].Increment();
+    if (!result.fallback_reason.empty()) fallbacks_.Increment();
+    plan_ms_.Record(result.plan_ms);
     span.AddAttr("stage", PlanStageName(result.stage));
     if (!result.fallback_reason.empty()) {
       span.AddAttr("fallback", result.fallback_reason);
@@ -231,12 +202,11 @@ StatusOr<PlanResult> GuardedPlanner::RunLadder(const query::Query& q,
     const std::string key = LadderKey(ropts.tenant_id);
     const AdmitDecision admit = breaker.Admit(key);
     if (admit == AdmitDecision::kReject) {
-      stats->circuit_short_circuits += 1;
-      gm.circuit_short_circuits->Increment();
+      circuit_short_circuits_.Increment();
       result.fallback_reason = "circuit open";
     } else {
       const bool probe = admit == AdmitDecision::kProbe;
-      Status neural = TryNeural(q, ropts, stats, &result);
+      Status neural = TryNeural(q, ropts, &result);
       // A rung tripped by the cancel token ends the ladder: degrading a
       // request nobody is waiting for just burns more CPU. The tripped
       // outcome also stays out of the breaker — it says nothing about
@@ -250,7 +220,7 @@ StatusOr<PlanResult> GuardedPlanner::RunLadder(const query::Query& q,
       result.fallback_reason = "neural: " + neural.ToString();
       QPS_VLOG(1) << "guarded: neural rung failed (" << neural.ToString()
                   << "), degrading to greedy";
-      Status greedy = TryGreedy(q, ropts, stats, &result);
+      Status greedy = TryGreedy(q, ropts, &result);
       if (!greedy.ok() && util::Cancelled(ropts.cancel)) return greedy;
       if (greedy.ok()) return serve();
       result.fallback_reason += "; greedy: " + greedy.ToString();
@@ -259,7 +229,7 @@ StatusOr<PlanResult> GuardedPlanner::RunLadder(const query::Query& q,
     }
   }
 
-  Status traditional = TryTraditional(q, ropts, stats, &result);
+  Status traditional = TryTraditional(q, ropts, &result);
   if (!traditional.ok()) return traditional;
   return serve();
 }

@@ -25,13 +25,14 @@
 #ifndef QPS_CORE_GUARDED_PLANNER_H_
 #define QPS_CORE_GUARDED_PLANNER_H_
 
+#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "core/health.h"
 #include "core/mcts.h"
 #include "core/planner_api.h"
+#include "obs/window.h"
 #include "optimizer/planner.h"
 #include "util/clock.h"
 
@@ -61,9 +62,9 @@ struct GuardedOptions {
 };
 
 /// The degradation-ladder planner. Plan() is thread-safe (planner_api.h):
-/// each request counts into its own GuardStats and folds them into the
-/// planner's total once, and the breaker locks internally. One instance
-/// therefore sees, and gates, the whole traffic of its callers.
+/// every counter is an atomic or an owned metric, and the breaker locks
+/// internally. One instance therefore sees, and gates, the whole traffic
+/// of its callers.
 class GuardedPlanner : public Planner {
  public:
   GuardedPlanner(const QpSeeker* model, const optimizer::Planner* baseline,
@@ -90,19 +91,14 @@ class GuardedPlanner : public Planner {
     return options_.clock != nullptr ? *options_.clock : *Clock::Default();
   }
 
-  /// The ladder itself; counts into the request-local `stats`.
-  StatusOr<PlanResult> RunLadder(const query::Query& q,
-                                 const PlanRequestOptions& ropts,
-                                 GuardStats* stats) const;
-
   /// One rung: plan, validate, score-check. Returns the failure reason or
   /// OK with `*out` filled.
   Status TryNeural(const query::Query& q, const PlanRequestOptions& ropts,
-                   GuardStats* stats, PlanResult* out) const;
+                   PlanResult* out) const;
   Status TryGreedy(const query::Query& q, const PlanRequestOptions& ropts,
-                   GuardStats* stats, PlanResult* out) const;
+                   PlanResult* out) const;
   Status TryTraditional(const query::Query& q, const PlanRequestOptions& ropts,
-                        GuardStats* stats, PlanResult* out) const;
+                        PlanResult* out) const;
 
   const QpSeeker* model_;
   const optimizer::Planner* baseline_;
@@ -110,8 +106,24 @@ class GuardedPlanner : public Planner {
   /// Thread-safe; HealthOptions defaults on options_.clock.
   std::unique_ptr<HealthMonitor> breaker_;
 
-  mutable std::mutex stats_mu_;
-  mutable GuardStats stats_;  ///< guarded by stats_mu_
+  /// The ladder's ledger (DESIGN.md §8): one call per event. Events with a
+  /// qps.guarded.* family are owned metrics; `served_` doubles as the
+  /// per-rung success counts of GuardStats.
+  obs::OwnedCounter requests_;
+  obs::OwnedCounter served_[3];  ///< indexed by PlanStage
+  obs::OwnedCounter fallbacks_;
+  obs::OwnedCounter circuit_short_circuits_;
+  obs::OwnedHistogram plan_ms_;
+  /// Rung outcomes without a registry family.
+  mutable std::atomic<int64_t> neural_attempts_{0};
+  mutable std::atomic<int64_t> neural_invalid_plan_{0};
+  mutable std::atomic<int64_t> neural_nan_{0};
+  mutable std::atomic<int64_t> neural_deadline_{0};
+  mutable std::atomic<int64_t> neural_error_{0};
+  mutable std::atomic<int64_t> greedy_attempts_{0};
+  mutable std::atomic<int64_t> greedy_failures_{0};
+  mutable std::atomic<int64_t> traditional_attempts_{0};
+  mutable std::atomic<int64_t> traditional_failures_{0};
 };
 
 }  // namespace core

@@ -29,6 +29,16 @@ const char* HealthStateName(HealthState state) {
 /// per window at most) keep it small, and everything is under the monitor
 /// mutex.
 struct HealthMonitor::Key {
+  explicit Key(const std::string& name)
+      : state_gauge(
+            metrics::Registry::Global().GetGauge("qps.health.state." + name)),
+        quarantines("qps.health.quarantines", obs::Feed::kCumulative,
+                    "qps.health.quarantines", name),
+        probes("qps.health.probes", obs::Feed::kCumulative,
+               "qps.health.probes", name),
+        recoveries("qps.health.recoveries", obs::Feed::kCumulative,
+                   "qps.health.recoveries", name) {}
+
   HealthState state = HealthState::kClosed;
   std::deque<std::pair<double, bool>> samples;
   int64_t window_failures = 0;  ///< failures currently inside `samples`
@@ -36,17 +46,24 @@ struct HealthMonitor::Key {
   int probes_inflight = 0;
   int probe_successes = 0;  ///< consecutive, while half-open
 
-  // Lifetime counters (KeyStats).
-  int64_t quarantines = 0;
-  int64_t probes = 0;
-  int64_t recoveries = 0;
+  KeyStats Snapshot() const {
+    KeyStats out;
+    out.state = state;
+    out.window_attempts = static_cast<int64_t>(samples.size());
+    out.window_failures = window_failures;
+    out.quarantines = quarantines.value();
+    out.probes = probes.value();
+    out.recoveries = recoveries.value();
+    return out;
+  }
 
-  // Resolved once per key; the state gauge is cumulative (dashboards want
-  // the current value), transitions feed windowed rate series.
-  metrics::Gauge* state_gauge = nullptr;
-  obs::WindowedCounter* quarantines_window = nullptr;
-  obs::WindowedCounter* probes_window = nullptr;
-  obs::WindowedCounter* recoveries_window = nullptr;
+  // The state gauge is cumulative (dashboards want the current value).
+  metrics::Gauge* const state_gauge;
+  // Lifetime transitions (KeyStats), each feeding the family total and
+  // the key's windowed rate series.
+  obs::OwnedCounter quarantines;
+  obs::OwnedCounter probes;
+  obs::OwnedCounter recoveries;
 };
 
 HealthMonitor::HealthMonitor(HealthOptions options)
@@ -57,17 +74,10 @@ HealthMonitor::~HealthMonitor() = default;
 HealthMonitor::Key& HealthMonitor::GetKeyLocked(const std::string& key) {
   auto it = keys_.find(key);
   if (it == keys_.end()) {
-    it = keys_.emplace(key, Key{}).first;
-    Key& k = it->second;
-    k.state_gauge =
-        metrics::Registry::Global().GetGauge("qps.health.state." + key);
+    it = keys_.try_emplace(key, key).first;
     // Every key starts closed, also when an earlier monitor (a swapped-out
     // model's breaker) left this series elsewhere.
-    k.state_gauge->Set(static_cast<double>(HealthState::kClosed));
-    auto& win = obs::WindowRegistry::Global();
-    k.quarantines_window = win.GetCounter("qps.health.quarantines." + key);
-    k.probes_window = win.GetCounter("qps.health.probes." + key);
-    k.recoveries_window = win.GetCounter("qps.health.recoveries." + key);
+    it->second.state_gauge->Set(static_cast<double>(HealthState::kClosed));
   }
   return it->second;
 }
@@ -84,14 +94,13 @@ void HealthMonitor::OpenLocked(const std::string& name, Key& k,
                                double now_ms) {
   k.state = HealthState::kOpen;
   k.opened_at_ms = now_ms;
-  k.quarantines += 1;
+  k.quarantines.Increment();
   k.probes_inflight = 0;
   k.probe_successes = 0;
   // A fresh quarantine judges the next window on its own evidence.
   k.samples.clear();
   k.window_failures = 0;
   k.state_gauge->Set(static_cast<double>(HealthState::kOpen));
-  k.quarantines_window->Increment();
   QPS_VLOG(1) << "health: " << name << " quarantined (breaker OPEN)";
 }
 
@@ -118,8 +127,7 @@ AdmitDecision HealthMonitor::Admit(const std::string& key) {
         return AdmitDecision::kReject;
       }
       k.probes_inflight += 1;
-      k.probes += 1;
-      k.probes_window->Increment();
+      k.probes.Increment();
       return AdmitDecision::kProbe;
   }
   return AdmitDecision::kAdmit;
@@ -147,11 +155,10 @@ void HealthMonitor::Record(const std::string& key, const Status& outcome,
     k.probe_successes += 1;
     if (k.probe_successes >= options_.probe_recoveries) {
       k.state = HealthState::kClosed;
-      k.recoveries += 1;
+      k.recoveries.Increment();
       k.samples.clear();
       k.window_failures = 0;
       k.state_gauge->Set(static_cast<double>(HealthState::kClosed));
-      k.recoveries_window->Increment();
       QPS_VLOG(1) << "health: " << key << " recovered (breaker closed)";
     }
     return;
@@ -200,15 +207,7 @@ HealthMonitor::KeyStats HealthMonitor::stats(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = keys_.find(key);
   if (it == keys_.end()) return KeyStats{};
-  const Key& k = it->second;
-  KeyStats out;
-  out.state = k.state;
-  out.window_attempts = static_cast<int64_t>(k.samples.size());
-  out.window_failures = k.window_failures;
-  out.quarantines = k.quarantines;
-  out.probes = k.probes;
-  out.recoveries = k.recoveries;
-  return out;
+  return it->second.Snapshot();
 }
 
 std::vector<std::pair<std::string, HealthMonitor::KeyStats>>
@@ -216,16 +215,7 @@ HealthMonitor::AllStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, KeyStats>> out;
   out.reserve(keys_.size());
-  for (const auto& [name, k] : keys_) {
-    KeyStats s;
-    s.state = k.state;
-    s.window_attempts = static_cast<int64_t>(k.samples.size());
-    s.window_failures = k.window_failures;
-    s.quarantines = k.quarantines;
-    s.probes = k.probes;
-    s.recoveries = k.recoveries;
-    out.emplace_back(name, s);
-  }
+  for (const auto& [name, k] : keys_) out.emplace_back(name, k.Snapshot());
   return out;
 }
 

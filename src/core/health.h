@@ -34,6 +34,9 @@
 //   qps.health.quarantines.<key>  windowed counter: closed/half-open -> open
 //   qps.health.probes.<key>       windowed counter: half-open admissions
 //   qps.health.recoveries.<key>   windowed counter: half-open -> closed
+// Each transition is one owned-counter call (obs/window.h) that moves the
+// KeyStats field, the key's windowed series, and a cumulative family total
+// (qps.health.quarantines, qps.health.probes, qps.health.recoveries).
 
 #ifndef QPS_CORE_HEALTH_H_
 #define QPS_CORE_HEALTH_H_

@@ -5,28 +5,11 @@
 #include <algorithm>
 #include <cstring>
 
-#include "util/metrics.h"
 
 namespace qps {
 namespace core {
 
 namespace {
-
-struct CacheMetrics {
-  metrics::Counter* hits;
-  metrics::Counter* misses;
-  metrics::Counter* evictions;
-
-  static const CacheMetrics& Get() {
-    static const CacheMetrics m = [] {
-      auto& reg = metrics::Registry::Global();
-      return CacheMetrics{reg.GetCounter("qps.cache.hits"),
-                          reg.GetCounter("qps.cache.misses"),
-                          reg.GetCounter("qps.cache.evictions")};
-    }();
-    return m;
-  }
-};
 
 // splitmix64 finalizer: cheap, well-distributed 64-bit mixing.
 inline uint64_t Mix(uint64_t x) {
@@ -114,14 +97,12 @@ bool PlanPredictionCache::Lookup(uint64_t query_fp, uint64_t plan_hash,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
-    ++misses_;
-    CacheMetrics::Get().misses->Increment();
+    misses_.Increment();
     return false;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   *out = it->second->stats;
-  ++hits_;
-  CacheMetrics::Get().hits->Increment();
+  hits_.Increment();
   return true;
 }
 
@@ -141,8 +122,7 @@ void PlanPredictionCache::Insert(uint64_t query_fp, uint64_t plan_hash,
   while (static_cast<int64_t>(lru_.size()) > capacity_entries_) {
     index_.erase(lru_.back().key);
     lru_.pop_back();
-    ++evictions_;
-    CacheMetrics::Get().evictions->Increment();
+    evictions_.Increment();
   }
 }
 
@@ -157,9 +137,9 @@ PlanPredictionCache::Stats PlanPredictionCache::GetStats() const {
   Stats s;
   s.entries = static_cast<int64_t>(lru_.size());
   s.capacity_bytes = capacity_bytes_;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
+  s.hits = hits_.value();
+  s.misses = misses_.value();
+  s.evictions = evictions_.value();
   return s;
 }
 

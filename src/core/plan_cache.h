@@ -15,7 +15,8 @@
 // caching never alters planning results, only their cost.
 //
 // Metrics: qps.cache.hits / qps.cache.misses / qps.cache.evictions
-// (process-wide), plus per-instance counters for the qpsql \cache command.
+// (process-wide), fed by the per-instance counters GetStats() reports (the
+// qpsql \cache command) — one owned metric per event (obs/window.h).
 
 #ifndef QPS_CORE_PLAN_CACHE_H_
 #define QPS_CORE_PLAN_CACHE_H_
@@ -25,6 +26,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "obs/window.h"
 #include "query/plan.h"
 #include "query/query.h"
 
@@ -93,9 +95,9 @@ class PlanPredictionCache {
   int64_t capacity_bytes_;
   std::list<Entry> lru_;  ///< front = most recent
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-  int64_t evictions_ = 0;
+  obs::OwnedCounter hits_{"qps.cache.hits"};
+  obs::OwnedCounter misses_{"qps.cache.misses"};
+  obs::OwnedCounter evictions_{"qps.cache.evictions"};
 };
 
 }  // namespace core

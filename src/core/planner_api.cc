@@ -19,26 +19,6 @@ const char* PlanStageName(PlanStage stage) {
   return "?";
 }
 
-GuardStats& GuardStats::operator+=(const GuardStats& o) {
-  requests += o.requests;
-  neural_attempts += o.neural_attempts;
-  neural_success += o.neural_success;
-  neural_invalid_plan += o.neural_invalid_plan;
-  neural_nan += o.neural_nan;
-  neural_deadline += o.neural_deadline;
-  neural_error += o.neural_error;
-  greedy_attempts += o.greedy_attempts;
-  greedy_success += o.greedy_success;
-  greedy_failures += o.greedy_failures;
-  traditional_attempts += o.traditional_attempts;
-  traditional_success += o.traditional_success;
-  traditional_failures += o.traditional_failures;
-  circuit_opens += o.circuit_opens;
-  circuit_closes += o.circuit_closes;
-  circuit_short_circuits += o.circuit_short_circuits;
-  return *this;
-}
-
 std::string GuardStats::ToString() const {
   return StrFormat(
       "requests=%lld neural=%lld/%lld (invalid=%lld nan=%lld deadline=%lld "

@@ -77,10 +77,6 @@ struct GuardStats {
     return neural_invalid_plan + neural_nan + neural_deadline + neural_error;
   }
 
-  /// Field-wise sum: the ladder folds each request's counters into its
-  /// total with it.
-  GuardStats& operator+=(const GuardStats& o);
-
   std::string ToString() const;
 };
 

@@ -91,10 +91,10 @@ std::string FormatTopBoard(const JsonValue& cur, const JsonValue* prev,
   }
 
   // Ladder-stage mix over the window, plus the breaker level.
-  const JsonValue* neural = WindowCounter(cur, "qps.guarded.stage.neural");
-  const JsonValue* greedy = WindowCounter(cur, "qps.guarded.stage.greedy");
+  const JsonValue* neural = WindowCounter(cur, "qps.guarded.served_neural");
+  const JsonValue* greedy = WindowCounter(cur, "qps.guarded.served_greedy");
   const JsonValue* traditional =
-      WindowCounter(cur, "qps.guarded.stage.traditional");
+      WindowCounter(cur, "qps.guarded.served_traditional");
   if (neural != nullptr || greedy != nullptr || traditional != nullptr) {
     auto total = [](const JsonValue* v) {
       return v != nullptr ? v->NumberOr("total", 0.0) : 0.0;

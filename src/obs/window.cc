@@ -222,5 +222,67 @@ WindowSnapshot WindowRegistry::TakeSnapshot() const {
   return snap;
 }
 
+// ---- OwnedCounter / OwnedHistogram --------------------------------------
+
+namespace {
+
+std::string Labelled(const std::string& label_family,
+                     const std::string& label) {
+  return label.empty() ? std::string() : label_family + "." + label;
+}
+
+}  // namespace
+
+OwnedCounter::OwnedCounter(const std::string& family, Feed feed,
+                           const std::string& label_family,
+                           const std::string& label)
+    : cumulative_(metrics::Registry::Global().GetCounter(family)),
+      window_(feed == Feed::kWindowed
+                  ? WindowRegistry::Global().GetCounter(family)
+                  : nullptr),
+      labelled_(label.empty() ? nullptr
+                              : WindowRegistry::Global().GetCounter(
+                                    Labelled(label_family, label))) {}
+
+void OwnedCounter::Increment(int64_t delta) const {
+  value_.fetch_add(delta, std::memory_order_release);
+  cumulative_->Increment(delta);
+  if (window_ != nullptr) window_->Increment(delta);
+  if (labelled_ != nullptr) labelled_->Increment(delta);
+}
+
+OwnedHistogram::OwnedHistogram(const std::string& family, Feed feed,
+                               const std::string& label_family,
+                               const std::string& label)
+    : cumulative_(metrics::Registry::Global().GetHistogram(family)),
+      window_(feed == Feed::kWindowed
+                  ? WindowRegistry::Global().GetHistogram(family)
+                  : nullptr),
+      labelled_(label.empty() ? nullptr
+                              : WindowRegistry::Global().GetHistogram(
+                                    Labelled(label_family, label))) {}
+
+void OwnedHistogram::Record(double value) const {
+  if (value != value) return;  // NaN, as every series drops it
+  AtomicAddDouble(&sum_bits_, value);
+  uint64_t max_bits = max_bits_.load(std::memory_order_relaxed);
+  while (value > BitsDouble(max_bits) &&
+         !max_bits_.compare_exchange_weak(max_bits, DoubleBits(value),
+                                          std::memory_order_relaxed)) {
+  }
+  count_.fetch_add(1, std::memory_order_release);
+  cumulative_->Record(value);
+  if (window_ != nullptr) window_->Record(value);
+  if (labelled_ != nullptr) labelled_->Record(value);
+}
+
+double OwnedHistogram::sum() const {
+  return BitsDouble(sum_bits_.load(std::memory_order_relaxed));
+}
+
+double OwnedHistogram::max() const {
+  return BitsDouble(max_bits_.load(std::memory_order_relaxed));
+}
+
 }  // namespace obs
 }  // namespace qps

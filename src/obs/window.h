@@ -21,6 +21,10 @@
 // relaxed load — cheaper than a cumulative Counter::Increment, proven by
 // BM_WindowedCounterDisabled in bench_micro (<= 2x counter cost is the
 // acceptance bound; the measured path is strictly less work).
+//
+// Serving code never holds windowed series itself: OwnedCounter and
+// OwnedHistogram (end of this file) feed an owner's stats value, the
+// cumulative registry and the windowed series in one call per event.
 
 #ifndef QPS_OBS_WINDOW_H_
 #define QPS_OBS_WINDOW_H_
@@ -163,6 +167,73 @@ class WindowRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<WindowedCounter>> counters_;
   std::map<std::string, std::unique_ptr<WindowedHistogram>> histograms_;
+};
+
+/// Which process-wide series an owned metric feeds besides its owner's
+/// value.
+enum class Feed {
+  kCumulative,  ///< the family's metrics::Registry series
+  kWindowed,    ///< that series plus the WindowRegistry series of the name
+};
+
+/// The ledger primitive (DESIGN.md §8): a counter held by the object that
+/// owns the event — a service, a planner, a cache. One Increment() moves
+/// the owner's lifetime value and every series the owner feeds: the
+/// family's cumulative counter, its windowed twin under Feed::kWindowed,
+/// and the labelled windowed series `<label_family>.<label>` when `label`
+/// is non-empty (qps.tenant.requests.<id>). Series are resolved once, at
+/// construction; the hot path is lock-free atomic adds, and
+/// SetWindowedEnabled(false) skips only the ring adds.
+///
+/// Registry series are process-wide and sum every owner of the family;
+/// value() is this owner's alone. The owner's add is a release and value()
+/// an acquire, so a snapshot that reads effect counters before cause
+/// counters never shows an effect without its cause. Increment() is const
+/// and thread-safe, so a const owner (a Planner, planner_api.h) counts
+/// through it from any number of threads.
+class OwnedCounter {
+ public:
+  explicit OwnedCounter(const std::string& family,
+                        Feed feed = Feed::kCumulative,
+                        const std::string& label_family = "",
+                        const std::string& label = "");
+
+  void Increment(int64_t delta = 1) const;
+
+  int64_t value() const { return value_.load(std::memory_order_acquire); }
+
+ private:
+  mutable std::atomic<int64_t> value_{0};
+  metrics::Counter* const cumulative_;
+  WindowedCounter* const window_;    ///< null under Feed::kCumulative
+  WindowedCounter* const labelled_;  ///< null without a label
+};
+
+/// OwnedCounter's histogram twin: one Record() feeds the owner's count,
+/// sum and max plus the family's cumulative, windowed and labelled
+/// histograms. count() acquires what Record() released last, so a reader
+/// that loads count() first sees at least that many values in sum().
+class OwnedHistogram {
+ public:
+  explicit OwnedHistogram(const std::string& family,
+                          Feed feed = Feed::kCumulative,
+                          const std::string& label_family = "",
+                          const std::string& label = "");
+
+  void Record(double value) const;
+
+  int64_t count() const { return count_.load(std::memory_order_acquire); }
+  double sum() const;
+  /// Largest recorded value, exact; 0 before the first record.
+  double max() const;
+
+ private:
+  mutable std::atomic<int64_t> count_{0};
+  mutable std::atomic<uint64_t> sum_bits_{0};
+  mutable std::atomic<uint64_t> max_bits_{0};
+  metrics::Histogram* const cumulative_;
+  WindowedHistogram* const window_;
+  WindowedHistogram* const labelled_;
 };
 
 }  // namespace obs

@@ -5,48 +5,32 @@
 #include <algorithm>
 #include <chrono>
 
+#include "obs/window.h"
 #include "util/fault.h"
-#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace qps {
 namespace serve {
 
-namespace {
-
-struct RendezvousMetrics {
-  metrics::Histogram* batch_size;   ///< fused queries per flush
-  metrics::Histogram* batch_plans;  ///< candidate plans per flush
-
-  static const RendezvousMetrics& Get() {
-    static const RendezvousMetrics m = [] {
-      auto& reg = metrics::Registry::Global();
-      return RendezvousMetrics{reg.GetHistogram("qps.serve.batch_size"),
-                               reg.GetHistogram("qps.serve.batch_plans")};
-    }();
-    return m;
-  }
-};
-
-}  // namespace
-
-void BatchRendezvous::Counters::RecordFlush(int64_t queries, int64_t plans) {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.flushes += 1;
-  stats_.fused_queries += queries;
-  stats_.fused_plans += plans;
-  stats_.max_fused = std::max(stats_.max_fused, queries);
-}
-
-BatchRendezvous::Stats BatchRendezvous::Counters::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+BatchRendezvous::Stats BatchRendezvous::Stats::Of(
+    const obs::OwnedHistogram& batch_size,
+    const obs::OwnedHistogram& batch_plans) {
+  Stats out;
+  out.flushes = batch_size.count();
+  out.fused_queries = static_cast<int64_t>(batch_size.sum());
+  out.max_fused = static_cast<int64_t>(batch_size.max());
+  out.fused_plans = static_cast<int64_t>(batch_plans.sum());
+  return out;
 }
 
 BatchRendezvous::BatchRendezvous(const core::QpSeeker* model,
                                  BatchRendezvousOptions options,
-                                 Counters* counters)
-    : model_(model), options_(options), counters_(counters) {}
+                                 obs::OwnedHistogram* batch_size,
+                                 obs::OwnedHistogram* batch_plans)
+    : model_(model),
+      options_(options),
+      batch_size_(batch_size),
+      batch_plans_(batch_plans) {}
 
 size_t BatchRendezvous::TargetLocked() const {
   const int expected = expected_.load(std::memory_order_relaxed);
@@ -80,11 +64,10 @@ void BatchRendezvous::FlushLocked(std::unique_lock<std::mutex>& lk) {
     (void)fault::Check("serve.batch");
     fused = model_->PredictPlansMulti(requests);
   }
-  RendezvousMetrics::Get().batch_size->Record(static_cast<double>(batch.size()));
-  RendezvousMetrics::Get().batch_plans->Record(static_cast<double>(total_plans));
   // Counted before any result is handed out, so a request that has its
   // answer always finds its flush in the counters.
-  counters_->RecordFlush(static_cast<int64_t>(batch.size()), total_plans);
+  batch_plans_->Record(static_cast<double>(total_plans));
+  batch_size_->Record(static_cast<double>(batch.size()));
 
   lk.lock();
   for (size_t i = 0; i < batch.size(); ++i) {

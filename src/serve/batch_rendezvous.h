@@ -36,6 +36,10 @@
 #include "core/qpseeker.h"
 
 namespace qps {
+namespace obs {
+class OwnedHistogram;
+}  // namespace obs
+
 namespace serve {
 
 struct BatchRendezvousOptions {
@@ -51,6 +55,7 @@ struct BatchRendezvousOptions {
 
 class BatchRendezvous {
  public:
+  /// Flush totals, as PlanService::Stats reports them.
   struct Stats {
     int64_t flushes = 0;
     int64_t fused_queries = 0;  ///< sum of batch sizes (queries per flush)
@@ -61,25 +66,21 @@ class BatchRendezvous {
                                static_cast<double>(flushes)
                          : 0.0;
     }
+
+    /// Snapshot of the two flush histograms a rendezvous records into.
+    static Stats Of(const obs::OwnedHistogram& batch_size,
+                    const obs::OwnedHistogram& batch_plans);
   };
 
-  /// Flush counters, shareable across rendezvous. A service hands one set
-  /// to the rendezvous of every model generation it serves, so flushes on a
+  /// Every flush records its query count into `batch_size`
+  /// (qps.serve.batch_size) and its candidate-plan count into
+  /// `batch_plans` (qps.serve.batch_plans). Both are non-owning and must
+  /// outlive the rendezvous: a service hands the same pair to the
+  /// rendezvous of every model generation it serves, so flushes on a
   /// retired generation stay counted exactly once.
-  class Counters {
-   public:
-    void RecordFlush(int64_t queries, int64_t plans);
-    Stats snapshot() const;
-
-   private:
-    mutable std::mutex mu_;
-    Stats stats_;  ///< guarded by mu_
-  };
-
-  /// `counters` (non-owning, must outlive the rendezvous) receives every
-  /// flush.
   BatchRendezvous(const core::QpSeeker* model, BatchRendezvousOptions options,
-                  Counters* counters);
+                  obs::OwnedHistogram* batch_size,
+                  obs::OwnedHistogram* batch_plans);
 
   /// Evaluates `plans` for `q`, fused with whatever other requests are in
   /// flight. Blocks until the result is available. Safe to call from many
@@ -113,7 +114,8 @@ class BatchRendezvous {
   std::condition_variable cv_;
   std::vector<Pending*> waiting_;
   bool flushing_ = false;
-  Counters* const counters_;
+  obs::OwnedHistogram* const batch_size_;
+  obs::OwnedHistogram* const batch_plans_;
 };
 
 }  // namespace serve

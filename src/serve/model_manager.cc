@@ -14,29 +14,15 @@ namespace serve {
 
 namespace {
 
-struct ReloadMetrics {
-  metrics::Counter* reloads;
-  metrics::Counter* reload_failures;
-  /// Quant-gate outcomes: a quantized candidate that passed / failed the
-  /// canary q-error gate, plus the last measured candidate/baseline ratio.
-  metrics::Counter* quant_gate_pass;
-  metrics::Counter* quant_gate_fail;
-  metrics::Gauge* quant_gate_ratio;
-
-  static const ReloadMetrics& Get() {
-    static const ReloadMetrics m = [] {
-      auto& reg = metrics::Registry::Global();
-      ReloadMetrics out;
-      out.reloads = reg.GetCounter("qps.model.reloads");
-      out.reload_failures = reg.GetCounter("qps.model.reload_failures");
-      out.quant_gate_pass = reg.GetCounter("qps.model.quant_gate.pass");
-      out.quant_gate_fail = reg.GetCounter("qps.model.quant_gate.fail");
-      out.quant_gate_ratio = reg.GetGauge("qps.model.quant_gate.ratio");
-      return out;
-    }();
-    return m;
-  }
-};
+/// Quant-gate outcome of a quantized candidate. No Stats field mirrors
+/// it, so it stays a plain registry counter, resolved on the rare reload
+/// path.
+void CountQuantGate(bool pass) {
+  metrics::Registry::Global()
+      .GetCounter(pass ? "qps.model.quant_gate.pass"
+                       : "qps.model.quant_gate.fail")
+      ->Increment();
+}
 
 /// max(p/a, a/p) with both sides clamped away from zero — the standard
 /// cardinality-estimation accuracy measure, applied to all three targets.
@@ -118,14 +104,9 @@ void ModelManager::SetSwapHook(
 
 Status ModelManager::Reload(const std::string& path) {
   std::lock_guard<std::mutex> reload_lock(reload_mu_);
-  const ReloadMetrics& rm = ReloadMetrics::Get();
 
-  auto fail = [&rm, this](Status st) {
-    rm.reload_failures->Increment();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.reload_failures += 1;
-    }
+  auto fail = [this](Status st) {
+    reload_failures_.Increment();
     QPS_LOG(Warning) << "model reload rejected: " << st.message();
     return st;
   };
@@ -149,7 +130,7 @@ Status ModelManager::Reload(const std::string& path) {
   // its (non-reentrant) forward pass is safe to run directly.
   auto qerror_or = CanaryQError(*candidate);
   if (!qerror_or.ok()) {
-    if (candidate_quantized) rm.quant_gate_fail->Increment();
+    if (candidate_quantized) CountQuantGate(false);
     return fail(qerror_or.status());
   }
   const double candidate_qerror = *qerror_or;
@@ -164,17 +145,19 @@ Status ModelManager::Reload(const std::string& path) {
     hook = swap_hook_;
   }
   if (candidate_quantized) {
-    rm.quant_gate_ratio->Set(candidate_qerror / baseline);
+    metrics::Registry::Global()
+        .GetGauge("qps.model.quant_gate.ratio")
+        ->Set(candidate_qerror / baseline);
   }
   const double bound = options_.max_qerror_ratio * baseline;
   if (candidate_qerror > bound) {
-    if (candidate_quantized) rm.quant_gate_fail->Increment();
+    if (candidate_quantized) CountQuantGate(false);
     return fail(Status::Aborted(
         "candidate canary q-error " + std::to_string(candidate_qerror) +
         " exceeds gate " + std::to_string(bound) + " (live baseline " +
         std::to_string(baseline) + ")"));
   }
-  if (candidate_quantized) rm.quant_gate_pass->Increment();
+  if (candidate_quantized) CountQuantGate(true);
 
   // Stage 3: atomic swap. The hook quiesces in-flight requests; a hook
   // failure means the previous model is still serving (nothing swapped).
@@ -186,9 +169,8 @@ Status ModelManager::Reload(const std::string& path) {
     std::lock_guard<std::mutex> lock(mu_);
     live_ = std::move(candidate);
     stats_.live_qerror = candidate_qerror;
-    stats_.reloads += 1;
   }
-  rm.reloads->Increment();
+  reloads_.Increment();
   QPS_LOG(Info) << "model reloaded from " << path << " (canary q-error "
                 << candidate_qerror
                 << (candidate_quantized ? ", int8 inference)" : ")");
@@ -196,8 +178,14 @@ Status ModelManager::Reload(const std::string& path) {
 }
 
 ModelManager::Stats ModelManager::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats out;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out = stats_;
+  }
+  out.reloads = reloads_.value();
+  out.reload_failures = reload_failures_.value();
+  return out;
 }
 
 }  // namespace serve

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "core/qpseeker.h"
+#include "obs/window.h"
 
 namespace qps {
 namespace serve {
@@ -116,7 +117,12 @@ class ModelManager {
   /// cases alive even if SetCanaries swaps in a new set mid-probe.
   std::shared_ptr<const std::vector<CanaryCase>> canaries_;
   std::function<Status(std::shared_ptr<const core::QpSeeker>)> swap_hook_;
+  /// The q-error fields of stats(); reloads and failures live in the
+  /// owned counters below.
   Stats stats_;
+
+  obs::OwnedCounter reloads_{"qps.model.reloads"};
+  obs::OwnedCounter reload_failures_{"qps.model.reload_failures"};
 };
 
 }  // namespace serve

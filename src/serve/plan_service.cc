@@ -21,54 +21,6 @@ namespace serve {
 
 namespace {
 
-struct ServeMetrics {
-  metrics::Counter* requests;
-  metrics::Counter* shed;
-  metrics::Counter* deadline_misses;
-  metrics::Gauge* inflight;
-  metrics::Gauge* queue_depth;
-  metrics::Histogram* queue_ms;
-  metrics::Histogram* latency_ms;
-  /// Sliding-window mirrors of the cumulative series above: request/shed
-  /// rates and rolling latency percentiles for the export surface and
-  /// qps_top (obs/window.h).
-  /// Retry accounting (worker-side and caller-side loops both feed these).
-  metrics::Counter* retry_attempts;
-  metrics::Counter* retry_exhausted;
-  metrics::Counter* retry_success;
-  obs::WindowedCounter* requests_window;
-  obs::WindowedCounter* shed_window;
-  obs::WindowedCounter* retry_attempts_window;
-  obs::WindowedHistogram* queue_ms_window;
-  obs::WindowedHistogram* latency_ms_window;
-
-  static const ServeMetrics& Get() {
-    static const ServeMetrics m = [] {
-      auto& reg = metrics::Registry::Global();
-      auto& win = obs::WindowRegistry::Global();
-      ServeMetrics out;
-      out.requests = reg.GetCounter("qps.serve.requests");
-      out.shed = reg.GetCounter("qps.serve.shed");
-      out.deadline_misses = reg.GetCounter("qps.serve.deadline_misses");
-      out.inflight = reg.GetGauge("qps.serve.inflight");
-      out.queue_depth = reg.GetGauge("qps.serve.queue_depth");
-      out.queue_ms = reg.GetHistogram("qps.serve.queue_ms");
-      out.latency_ms = reg.GetHistogram("qps.serve.latency_ms");
-      out.retry_attempts = reg.GetCounter("qps.serve.retries.attempts");
-      out.retry_exhausted = reg.GetCounter("qps.serve.retries.exhausted");
-      out.retry_success =
-          reg.GetCounter("qps.serve.retries.success_after_retry");
-      out.requests_window = win.GetCounter("qps.serve.requests");
-      out.shed_window = win.GetCounter("qps.serve.shed");
-      out.retry_attempts_window = win.GetCounter("qps.serve.retries.attempts");
-      out.queue_ms_window = win.GetHistogram("qps.serve.queue_ms");
-      out.latency_ms_window = win.GetHistogram("qps.serve.latency_ms");
-      return out;
-    }();
-    return m;
-  }
-};
-
 /// Blocking backoff between retry attempts. Millisecond-scale sleeps on a
 /// worker (or submitting) thread; the deadline budget has already been
 /// checked by the caller.
@@ -116,8 +68,8 @@ PlanService::BuildGeneration(std::shared_ptr<const core::QpSeeker> model) {
     BatchRendezvousOptions ropts;
     ropts.max_batch = options_.max_batch;
     ropts.flush_timeout_ms = options_.flush_timeout_ms;
-    gen->rendezvous =
-        std::make_unique<BatchRendezvous>(model.get(), ropts, &batching_);
+    gen->rendezvous = std::make_unique<BatchRendezvous>(
+        model.get(), ropts, &batch_size_, &batch_plans_);
   }
   gen->model = std::move(model);
   return std::shared_ptr<const Generation>(std::move(gen));
@@ -133,15 +85,25 @@ PlanService::PlanService(PlanServiceDeps deps, PlanServiceOptions options)
     : options_(std::move(options)),
       planner_name_(std::move(deps.planner_name)),
       baseline_(deps.baseline),
-      gopts_(deps.guard_options) {
-  if (!options_.tenant_id.empty()) {
-    auto& win = obs::WindowRegistry::Global();
-    tenant_requests_ =
-        win.GetCounter("qps.tenant.requests." + options_.tenant_id);
-    tenant_shed_ = win.GetCounter("qps.tenant.shed." + options_.tenant_id);
-    tenant_latency_ =
-        win.GetHistogram("qps.tenant.latency_ms." + options_.tenant_id);
-  }
+      gopts_(deps.guard_options),
+      submitted_("qps.serve.requests", obs::Feed::kWindowed,
+                 "qps.tenant.requests", options_.tenant_id),
+      shed_("qps.serve.shed", obs::Feed::kWindowed, "qps.tenant.shed",
+            options_.tenant_id),
+      deadline_hits_("qps.serve.deadline_misses"),
+      deadline_errors_("qps.serve.deadline_misses"),
+      retry_attempts_("qps.serve.retries.attempts", obs::Feed::kWindowed),
+      retry_exhausted_("qps.serve.retries.exhausted"),
+      retry_successes_("qps.serve.retries.success_after_retry"),
+      queue_ms_("qps.serve.queue_ms", obs::Feed::kWindowed),
+      latency_ms_("qps.serve.latency_ms", obs::Feed::kWindowed,
+                  "qps.tenant.latency_ms", options_.tenant_id),
+      batch_size_("qps.serve.batch_size"),
+      batch_plans_("qps.serve.batch_plans"),
+      inflight_gauge_(
+          metrics::Registry::Global().GetGauge("qps.serve.inflight")),
+      queue_depth_gauge_(
+          metrics::Registry::Global().GetGauge("qps.serve.queue_depth")) {
   if (options_.pool == nullptr) {
     owned_pool_ = std::make_unique<util::ThreadPool>(options_.workers);
   }
@@ -177,15 +139,10 @@ StatusOr<core::PlanResult> PlanService::PlanShedded(const query::Query& q,
 }
 
 void PlanService::ShedRequest(Request& req, const char* reason) {
-  const ServeMetrics& sm = ServeMetrics::Get();
-  sm.shed->Increment();
-  sm.shed_window->Increment();
-  if (tenant_shed_ != nullptr) tenant_shed_->Increment();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.shed += 1;
-    if (shed_planner_ != nullptr) stats_.shed_degraded += 1;
+  if (shed_planner_ != nullptr) {
+    shed_degraded_.fetch_add(1, std::memory_order_release);
   }
+  shed_.Increment();
   obs::AuditRecord record;
   record.query_hash = core::QueryFingerprint(req.request.query);
   record.backend = planner_name_;
@@ -224,14 +181,7 @@ void PlanService::ShedRequest(Request& req, const char* reason) {
 
 std::future<StatusOr<core::PlanResult>> PlanService::SubmitDegraded(
     PlanRequest request, const char* reason) {
-  const ServeMetrics& sm = ServeMetrics::Get();
-  sm.requests->Increment();
-  sm.requests_window->Increment();
-  if (tenant_requests_ != nullptr) tenant_requests_->Increment();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.submitted += 1;
-  }
+  submitted_.Increment();
   auto req = std::make_shared<Request>();
   req->request = std::move(request);
   auto future = req->promise.get_future();
@@ -241,15 +191,8 @@ std::future<StatusOr<core::PlanResult>> PlanService::SubmitDegraded(
 
 std::future<StatusOr<core::PlanResult>> PlanService::Submit(
     PlanRequest request) {
-  const ServeMetrics& sm = ServeMetrics::Get();
   QPS_TRACE_SPAN("serve.submit");
-  sm.requests->Increment();
-  sm.requests_window->Increment();
-  if (tenant_requests_ != nullptr) tenant_requests_->Increment();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.submitted += 1;
-  }
+  submitted_.Increment();
 
   auto req = std::make_shared<Request>();
   req->request = std::move(request);
@@ -266,10 +209,7 @@ std::future<StatusOr<core::PlanResult>> PlanService::Submit(
                                        : req->request.tenant_id);
     Status injected = fault::Check("serve.submit");
     if (!injected.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.errors += 1;
-      }
+      errors_.fetch_add(1, std::memory_order_release);
       req->promise.set_value(std::move(injected));
       return future;
     }
@@ -299,7 +239,7 @@ std::future<StatusOr<core::PlanResult>> PlanService::Submit(
   } else {
     active_pool().Schedule(std::move(task));
   }
-  sm.queue_depth->Set(static_cast<double>(queue_depth()));
+  queue_depth_gauge_->Set(static_cast<double>(queue_depth()));
   if (!admitted) {
     // Shard-pool backstop tripped: the tenant was under its own quota but
     // the shared pool is drowning in aggregate traffic.
@@ -311,13 +251,11 @@ std::future<StatusOr<core::PlanResult>> PlanService::Submit(
 }
 
 void PlanService::RunRequest(Request& req) {
-  const ServeMetrics& sm = ServeMetrics::Get();
   const double queue_ms = req.queued.ElapsedMillis();
-  sm.queue_ms->Record(queue_ms);
-  sm.queue_ms_window->Record(queue_ms);
+  queue_ms_.Record(queue_ms);
   const int inflight = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-  sm.inflight->Set(static_cast<double>(inflight));
-  sm.queue_depth->Set(static_cast<double>(queue_depth()));
+  inflight_gauge_->Set(static_cast<double>(inflight));
+  queue_depth_gauge_->Set(static_cast<double>(queue_depth()));
   if (auto gen = CurrentGeneration(); gen->rendezvous != nullptr) {
     gen->rendezvous->SetExpected(inflight);
   }
@@ -378,22 +316,13 @@ void PlanService::RunRequest(Request& req) {
     const double backoff_ms = retry.BackoffMs(attempt, req.request.seed);
     if (!RetryPolicy::FitsBudget(backoff_ms, timer.ElapsedMillis(),
                                  ropts.deadline_ms)) {
-      sm.retry_exhausted->Increment();
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.retry_exhausted += 1;
-      }
+      retry_exhausted_.Increment();
       break;
     }
     if (options_.on_attempt) {
       options_.on_attempt(req.request, failure, /*final_attempt=*/false);
     }
-    sm.retry_attempts->Increment();
-    sm.retry_attempts_window->Increment();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.retry_attempts += 1;
-    }
+    retry_attempts_.Increment();
     SleepForBackoff(backoff_ms);
     retries_taken += 1;
     result = plan_once();
@@ -401,27 +330,15 @@ void PlanService::RunRequest(Request& req) {
   if (!result.ok() && retries_taken >= retry.max_retries && retry.enabled() &&
       result.status().IsRetryable() && !util::Cancelled(cancel)) {
     // Ran out of attempts (as opposed to budget or a terminal failure).
-    sm.retry_exhausted->Increment();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.retry_exhausted += 1;
-    }
+    retry_exhausted_.Increment();
   }
-  if (result.ok() && retries_taken > 0) {
-    sm.retry_success->Increment();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.retry_successes += 1;
-    }
-  }
+  if (result.ok() && retries_taken > 0) retry_successes_.Increment();
   if (options_.on_attempt) {
     options_.on_attempt(req.request, result.status(), /*final_attempt=*/true);
   }
 
   const double latency_ms = timer.ElapsedMillis();
-  sm.latency_ms->Record(latency_ms);
-  sm.latency_ms_window->Record(latency_ms);
-  if (tenant_latency_ != nullptr) tenant_latency_->Record(latency_ms);
+  latency_ms_.Record(latency_ms);
   span.AddAttr("ok", result.ok() ? 1 : 0);
   if (options_.audit != nullptr) {
     obs::AuditRecord record;
@@ -443,24 +360,16 @@ void PlanService::RunRequest(Request& req) {
     }
     options_.audit->Append(record);
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (result.ok()) {
-      stats_.completed += 1;
-      if (result->deadline_hit) {
-        stats_.deadline_hits += 1;
-        sm.deadline_misses->Increment();
-      }
-    } else {
-      stats_.errors += 1;
-      if (result.status().IsDeadlineExceeded()) {
-        sm.deadline_misses->Increment();
-      }
-    }
+  if (result.ok()) {
+    if (result->deadline_hit) deadline_hits_.Increment();
+    completed_.fetch_add(1, std::memory_order_release);
+  } else {
+    if (result.status().IsDeadlineExceeded()) deadline_errors_.Increment();
+    errors_.fetch_add(1, std::memory_order_release);
   }
 
   const int remaining = inflight_.fetch_sub(1, std::memory_order_relaxed) - 1;
-  sm.inflight->Set(static_cast<double>(remaining));
+  inflight_gauge_->Set(static_cast<double>(remaining));
   if (auto gen = CurrentGeneration(); gen->rendezvous != nullptr) {
     gen->rendezvous->SetExpected(std::max(remaining, 1));
   }
@@ -468,12 +377,19 @@ void PlanService::RunRequest(Request& req) {
 }
 
 PlanService::Stats PlanService::stats() const {
+  // Outcomes first, admissions last: every outcome read here was released
+  // after its request's submitted_ add, so submitted covers it.
   Stats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
-  out.batching = batching_.snapshot();
+  out.batching = BatchRendezvous::Stats::Of(batch_size_, batch_plans_);
+  out.retry_successes = retry_successes_.value();
+  out.retry_exhausted = retry_exhausted_.value();
+  out.retry_attempts = retry_attempts_.value();
+  out.deadline_hits = deadline_hits_.value();
+  out.completed = completed_.load(std::memory_order_acquire);
+  out.errors = errors_.load(std::memory_order_acquire);
+  out.shed_degraded = shed_degraded_.load(std::memory_order_acquire);
+  out.shed = shed_.value();
+  out.submitted = submitted_.value();
   return out;
 }
 

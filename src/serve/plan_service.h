@@ -39,7 +39,9 @@
 // batch_size,batch_plans,deadline_misses,shed} and
 // qps.serve.retries.{attempts,exhausted,success_after_retry}; services
 // labelled with a tenant id additionally feed
-// qps.tenant.{requests,shed,latency_ms}.<id> windowed series. Trace spans:
+// qps.tenant.{requests,shed,latency_ms}.<id> windowed series. Every
+// counted event is one call on an owned metric (obs/window.h) that also
+// moves the matching stats() field. Trace spans:
 // serve.submit, serve.plan, serve.batch_flush. Fault points (util/fault.h):
 // serve.submit fires on the submitting thread before admission;
 // planning runs under a fault::ScopedContext carrying the tenant id, so
@@ -57,6 +59,7 @@
 #include <vector>
 
 #include "core/planner_backends.h"
+#include "obs/window.h"
 #include "serve/batch_rendezvous.h"
 #include "serve/retry.h"
 #include "util/cancel.h"
@@ -64,8 +67,6 @@
 namespace qps {
 namespace obs {
 class AuditLog;
-class WindowedCounter;
-class WindowedHistogram;
 }  // namespace obs
 
 namespace serve {
@@ -157,9 +158,9 @@ struct PlanServiceOptions {
   /// bounds the pool's only user.
   size_t pool_max_queue = 0;
 
-  /// Tenant label. Non-empty: per-request accounting is mirrored into
-  /// qps.tenant.{requests,shed,latency_ms}.<tenant_id> windowed series and
-  /// stamped on audit records.
+  /// Tenant label. Non-empty: per-request accounting also feeds the
+  /// qps.tenant.{requests,shed,latency_ms}.<tenant_id> windowed series,
+  /// and audit records carry it.
   std::string tenant_id;
 
   /// Deadline applied to requests that don't carry their own (0 = none).
@@ -239,9 +240,10 @@ class PlanService {
     return static_cast<size_t>(pending_.load(std::memory_order_relaxed));
   }
 
-  /// Request counters plus the batching counters every generation's
-  /// rendezvous records into, so flushes of a generation retired by
-  /// SwapModel are counted exactly once.
+  /// Snapshot of the service's ledger, including the flushes of every
+  /// generation's rendezvous, so flushes of a generation retired by
+  /// SwapModel are counted exactly once. Outcomes are read before
+  /// admissions: completed + errors never exceeds submitted.
   Stats stats() const;
 
   /// Guard counters of the current generation's planner.
@@ -312,9 +314,6 @@ class PlanService {
   /// submitting thread and must not depend on the model generation.
   std::unique_ptr<const core::Planner> shed_planner_;
 
-  /// Flush counters shared by every generation's rendezvous.
-  BatchRendezvous::Counters batching_;
-
   /// Guards generation_, the pointer only: a generation is immutable.
   /// No other lock is ever taken while holding it.
   mutable std::mutex model_mu_;
@@ -330,13 +329,28 @@ class PlanService {
   std::condition_variable outstanding_cv_;
   int64_t outstanding_ = 0;
 
-  mutable std::mutex stats_mu_;
-  Stats stats_;
-
-  /// Per-tenant windowed mirrors; null unless options_.tenant_id is set.
-  obs::WindowedCounter* tenant_requests_ = nullptr;
-  obs::WindowedCounter* tenant_shed_ = nullptr;
-  obs::WindowedHistogram* tenant_latency_ = nullptr;
+  /// The service's ledger (DESIGN.md §8): one call per event moves the
+  /// value stats() snapshots and feeds the qps.serve.* family (and, for a
+  /// labelled service, qps.tenant.*.<tenant_id>).
+  obs::OwnedCounter submitted_;
+  obs::OwnedCounter shed_;
+  obs::OwnedCounter deadline_hits_;    ///< best-effort truncations
+  obs::OwnedCounter deadline_errors_;  ///< kDeadlineExceeded results
+  obs::OwnedCounter retry_attempts_;
+  obs::OwnedCounter retry_exhausted_;
+  obs::OwnedCounter retry_successes_;
+  obs::OwnedHistogram queue_ms_;
+  obs::OwnedHistogram latency_ms_;
+  /// Shared by every generation's rendezvous.
+  obs::OwnedHistogram batch_size_;
+  obs::OwnedHistogram batch_plans_;
+  /// Outcomes without a registry family; release adds, acquire loads, as
+  /// in obs::OwnedCounter.
+  std::atomic<int64_t> completed_{0};
+  std::atomic<int64_t> errors_{0};
+  std::atomic<int64_t> shed_degraded_{0};
+  metrics::Gauge* const inflight_gauge_;
+  metrics::Gauge* const queue_depth_gauge_;
 
   /// Declared last: its destructor drains queued tasks, which still touch
   /// the members above. Null when running on an external pool (the

@@ -27,29 +27,6 @@ std::future<StatusOr<core::PlanResult>> ReadyFuture(
   return future;
 }
 
-/// Caller-side retry accounting; same metric families the worker-side loop
-/// in PlanService feeds.
-struct RetryMetrics {
-  metrics::Counter* attempts;
-  metrics::Counter* exhausted;
-  metrics::Counter* success;
-  obs::WindowedCounter* attempts_window;
-
-  static const RetryMetrics& Get() {
-    static const RetryMetrics m = [] {
-      auto& reg = metrics::Registry::Global();
-      RetryMetrics out;
-      out.attempts = reg.GetCounter("qps.serve.retries.attempts");
-      out.exhausted = reg.GetCounter("qps.serve.retries.exhausted");
-      out.success = reg.GetCounter("qps.serve.retries.success_after_retry");
-      out.attempts_window =
-          obs::WindowRegistry::Global().GetCounter("qps.serve.retries.attempts");
-      return out;
-    }();
-    return m;
-  }
-};
-
 }  // namespace
 
 StatusOr<std::unique_ptr<ShardedPlanService>> ShardedPlanService::Create(
@@ -256,7 +233,7 @@ std::future<StatusOr<core::PlanResult>> ShardedPlanService::Submit(
             std::future_status::ready) {
           // Admitted onto a worker; the worker-side loop owns retries and
           // health recording from here.
-          if (attempt > 1) RetryMetrics::Get().success->Increment();
+          if (attempt > 1) retry_successes_.Increment();
           return future;
         }
         // Synchronously resolved: a shed/degrade or an injected submit
@@ -266,7 +243,7 @@ std::future<StatusOr<core::PlanResult>> ShardedPlanService::Submit(
         StatusOr<core::PlanResult> ready = future.get();
         if (probe) health_.AbandonProbe(tenant_id);
         if (ready.ok()) {
-          if (attempt > 1) RetryMetrics::Get().success->Increment();
+          if (attempt > 1) retry_successes_.Increment();
           return ReadyFuture(std::move(ready));
         }
         failure = ready.status();
@@ -278,16 +255,20 @@ std::future<StatusOr<core::PlanResult>> ShardedPlanService::Submit(
       }
     }
     if (!retry.ShouldRetry(failure, attempt)) {
+      // Out of attempts (as opposed to a terminal failure), counted like
+      // the worker-side loop counts it.
+      if (retry.enabled() && failure.IsRetryable()) {
+        retry_exhausted_.Increment();
+      }
       return ReadyFuture(std::move(failure));
     }
     const double backoff_ms = retry.BackoffMs(attempt, request.seed);
     if (!RetryPolicy::FitsBudget(backoff_ms, timer.ElapsedMillis(),
                                  deadline_ms)) {
-      RetryMetrics::Get().exhausted->Increment();
+      retry_exhausted_.Increment();
       return ReadyFuture(std::move(failure));
     }
-    RetryMetrics::Get().attempts->Increment();
-    RetryMetrics::Get().attempts_window->Increment();
+    retry_attempts_.Increment();
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(backoff_ms));
   }
@@ -296,19 +277,18 @@ std::future<StatusOr<core::PlanResult>> ShardedPlanService::Submit(
 void ShardedPlanService::RecordQError(const std::string& tenant_id,
                                       double qerror) {
   if (!registry_.Contains(tenant_id)) return;
-  obs::WindowedHistogram* window = nullptr;
+  obs::OwnedHistogram* qerr = nullptr;
   {
     std::lock_guard<std::mutex> lock(qerr_mu_);
-    auto it = qerr_windows_.find(tenant_id);
-    if (it == qerr_windows_.end()) {
-      it = qerr_windows_
-               .emplace(tenant_id, obs::WindowRegistry::Global().GetHistogram(
-                                       "qps.tenant.qerr." + tenant_id))
-               .first;
+    std::unique_ptr<obs::OwnedHistogram>& slot = qerr_[tenant_id];
+    if (slot == nullptr) {
+      slot = std::make_unique<obs::OwnedHistogram>(
+          "qps.tenant.qerr", obs::Feed::kCumulative, "qps.tenant.qerr",
+          tenant_id);
     }
-    window = it->second;
+    qerr = slot.get();
   }
-  window->Record(qerror);
+  qerr->Record(qerror);
 }
 
 StatusOr<PlanService::Stats> ShardedPlanService::TenantStats(

@@ -35,7 +35,8 @@
 //
 // Metrics: every tenant core feeds qps.tenant.{requests,shed,
 // latency_ms}.<tenant_id> windowed series; RecordQError feeds
-// qps.tenant.qerr.<tenant_id> from execution feedback; the breaker feeds
+// qps.tenant.qerr.<tenant_id> (and the cumulative qps.tenant.qerr) from
+// execution feedback; the breaker feeds
 // qps.health.{state,quarantines,probes,recoveries}.<key> and the retry
 // loops qps.serve.retries.{attempts,exhausted,success_after_retry}.
 
@@ -175,8 +176,17 @@ class ShardedPlanService {
   core::HealthMonitor health_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  mutable std::mutex qerr_mu_;
-  std::map<std::string, obs::WindowedHistogram*> qerr_windows_;
+  /// Caller-side retry ledger; the worker-side loop of each tenant core
+  /// feeds the same qps.serve.retries.* families from its own.
+  obs::OwnedCounter retry_attempts_{"qps.serve.retries.attempts",
+                                    obs::Feed::kWindowed};
+  obs::OwnedCounter retry_exhausted_{"qps.serve.retries.exhausted"};
+  obs::OwnedCounter retry_successes_{"qps.serve.retries.success_after_retry"};
+
+  std::mutex qerr_mu_;
+  /// Execution q-error per tenant, created on first feedback; guarded by
+  /// qerr_mu_.
+  std::map<std::string, std::unique_ptr<obs::OwnedHistogram>> qerr_;
 };
 
 }  // namespace serve

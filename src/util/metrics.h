@@ -11,10 +11,13 @@
 //       metrics::Registry::Global().GetCounter("qps.mcts.rollouts");
 //   rollouts->Increment();
 //
-// Naming convention: `qps.<subsystem>.<name>` (DESIGN.md §8). Snapshot()
-// copies every metric under the registration mutex; RenderText/RenderJson
-// format a snapshot for the qpsql \metrics meta-command and the bench
-// harness's BENCH_*.json stage breakdowns.
+// Naming convention: `qps.<subsystem>.<name>` (DESIGN.md §8). An event an
+// object owns (a request, a cache hit) is counted through an
+// obs::OwnedCounter, which feeds this registry and the owner's own stats in
+// one call. TakeSnapshot() copies every metric under the registration
+// mutex; RenderText/RenderJson format a snapshot for the qpsql \metrics
+// meta-command and the bench harnesses' EmitMetricsSnapshot
+// (QPS_METRICS_JSON_DIR).
 
 #ifndef QPS_UTIL_METRICS_H_
 #define QPS_UTIL_METRICS_H_

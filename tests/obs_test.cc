@@ -2,7 +2,9 @@
 //
 // Observability layer: windowed counters/histograms (rotation, expiry,
 // rates, the disabled fast path, and concurrency exactness — this test
-// binary is in the TSan stage of tier1.sh), the accuracy/drift tracker
+// binary is in the TSan stage of tier1.sh), the owned counter/histogram
+// that feed the registries (owner value vs family, disabled windows,
+// concurrent exactness), the accuracy/drift tracker
 // (quantiles, EWMA baseline, drift injection), the Prometheus exposition
 // round-trip, the obs JSON document + snapshot writer, the audit log
 // schema, and the qps_top board rendering.
@@ -247,6 +249,110 @@ TEST(WindowRegistryTest, SameNameReturnsSamePointerAndSnapshotsAll) {
   }
   EXPECT_TRUE(saw_counter);
   EXPECT_TRUE(saw_hist);
+}
+
+// ---- Owned metrics (the ledger primitive) -------------------------------
+
+TEST(OwnedCounterTest, OneIncrementMovesOwnerFamilyAndWindows) {
+  metrics::Counter* family =
+      metrics::Registry::Global().GetCounter("qps.test.owned_one");
+  WindowedCounter* window =
+      WindowRegistry::Global().GetCounter("qps.test.owned_one");
+  const int64_t family_before = family->value();
+  const int64_t window_before = window->Total();
+
+  OwnedCounter owned("qps.test.owned_one", Feed::kWindowed,
+                     "qps.test.owned_one_by", "t1");
+  owned.Increment();
+  EXPECT_EQ(owned.value(), 1);
+  EXPECT_EQ(family->value() - family_before, 1);
+  EXPECT_EQ(window->Total() - window_before, 1);
+  EXPECT_EQ(
+      WindowRegistry::Global().GetCounter("qps.test.owned_one_by.t1")->Total(),
+      1);
+}
+
+TEST(OwnedCounterTest, TwoOwnersSumInTheFamilyButKeepTheirOwnValues) {
+  metrics::Counter* family =
+      metrics::Registry::Global().GetCounter("qps.test.owned_two");
+  const int64_t before = family->value();
+  OwnedCounter a("qps.test.owned_two");
+  OwnedCounter b("qps.test.owned_two");
+  a.Increment(2);
+  b.Increment(5);
+  EXPECT_EQ(a.value(), 2);
+  EXPECT_EQ(b.value(), 5);
+  EXPECT_EQ(family->value() - before, 7);
+}
+
+TEST(OwnedCounterTest, DisabledWindowsStillCountTheOwnerAndTheFamily) {
+  auto& reg = metrics::Registry::Global();
+  auto& win = WindowRegistry::Global();
+  const int64_t counter_before =
+      reg.GetCounter("qps.test.owned_off")->value();
+  const int64_t hist_before =
+      reg.GetHistogram("qps.test.owned_off_ms")->count();
+  OwnedCounter counter("qps.test.owned_off", Feed::kWindowed);
+  OwnedHistogram hist("qps.test.owned_off_ms", Feed::kWindowed);
+
+  SetWindowedEnabled(false);
+  counter.Increment(3);
+  hist.Record(2.0);
+  SetWindowedEnabled(true);
+
+  EXPECT_EQ(counter.value(), 3);
+  EXPECT_EQ(reg.GetCounter("qps.test.owned_off")->value() - counter_before, 3);
+  EXPECT_EQ(win.GetCounter("qps.test.owned_off")->Total(), 0);
+  EXPECT_EQ(hist.count(), 1);
+  EXPECT_EQ(reg.GetHistogram("qps.test.owned_off_ms")->count() - hist_before,
+            1);
+  EXPECT_EQ(win.GetHistogram("qps.test.owned_off_ms")->Count(), 0);
+}
+
+TEST(OwnedHistogramTest, OneRecordMovesOwnerFamilyAndWindows) {
+  auto& reg = metrics::Registry::Global();
+  auto& win = WindowRegistry::Global();
+  const int64_t family_before =
+      reg.GetHistogram("qps.test.owned_hist")->count();
+  OwnedHistogram hist("qps.test.owned_hist", Feed::kWindowed,
+                      "qps.test.owned_hist_by", "t1");
+  hist.Record(3.0);
+  hist.Record(1.0);
+  EXPECT_EQ(hist.count(), 2);
+  EXPECT_EQ(hist.sum(), 4.0);
+  EXPECT_EQ(hist.max(), 3.0);
+  EXPECT_EQ(reg.GetHistogram("qps.test.owned_hist")->count() - family_before,
+            2);
+  EXPECT_GE(win.GetHistogram("qps.test.owned_hist")->Count(), 2);
+  EXPECT_EQ(win.GetHistogram("qps.test.owned_hist_by.t1")->Count(), 2);
+}
+
+TEST(OwnedCounterTest, ConcurrentIncrementsSumExactly) {
+  metrics::Counter* family =
+      metrics::Registry::Global().GetCounter("qps.test.owned_race");
+  const int64_t before = family->value();
+  OwnedCounter counter("qps.test.owned_race");
+  OwnedHistogram hist("qps.test.owned_race_ms");
+
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 20'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&counter, &hist, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        counter.Increment();
+        hist.Record(static_cast<double>(t));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  constexpr int64_t kTotal = int64_t{kThreads} * kPerThread;
+  EXPECT_EQ(counter.value(), kTotal);
+  EXPECT_EQ(family->value() - before, kTotal);
+  EXPECT_EQ(hist.count(), kTotal);
+  // 0 + 1 + ... + 7 per round, exact in a double.
+  EXPECT_EQ(hist.sum(), 28.0 * kPerThread);
+  EXPECT_EQ(hist.max(), static_cast<double>(kThreads - 1));
 }
 
 // ---- Accuracy / drift ---------------------------------------------------
@@ -615,9 +721,9 @@ TEST(TopBoardTest, RendersThroughputLatencyLadderAndDrift) {
                          "qps.health.state.neural_t1":1},
                "histograms":{}},
     "window":{"counters":{"qps.serve.requests":{"total":120,"rate":40},
-                          "qps.guarded.stage.neural":{"total":80,"rate":26},
-                          "qps.guarded.stage.greedy":{"total":30,"rate":10},
-                          "qps.guarded.stage.traditional":{"total":10,"rate":3.3}},
+                          "qps.guarded.served_neural":{"total":80,"rate":26},
+                          "qps.guarded.served_greedy":{"total":30,"rate":10},
+                          "qps.guarded.served_traditional":{"total":10,"rate":3.3}},
               "histograms":{"qps.serve.latency_ms":{"count":120,"rate":40,
                             "p50":2.5,"p90":8,"p99":20}}},
     "drift":{"score":2.4,"qerr_p50":3.1,"qerr_p95":9.9,"samples":55,

@@ -469,8 +469,9 @@ TEST_F(PlanServiceTest, RendezvousFusesConcurrentEvaluations) {
   BatchRendezvousOptions opts;
   opts.max_batch = 8;
   opts.flush_timeout_ms = 2000.0;
-  BatchRendezvous::Counters counters;
-  BatchRendezvous rendezvous(model_, opts, &counters);
+  obs::OwnedHistogram batch_size("qps.serve.batch_size");
+  obs::OwnedHistogram batch_plans("qps.serve.batch_plans");
+  BatchRendezvous rendezvous(model_, opts, &batch_size, &batch_plans);
   rendezvous.SetExpected(4);
 
   std::vector<query::Query> queries;
@@ -496,7 +497,7 @@ TEST_F(PlanServiceTest, RendezvousFusesConcurrentEvaluations) {
   }
   for (auto& t : threads) t.join();
 
-  const auto stats = counters.snapshot();
+  const auto stats = BatchRendezvous::Stats::Of(batch_size, batch_plans);
   EXPECT_EQ(stats.flushes, 1);
   EXPECT_EQ(stats.fused_queries, 4);
   EXPECT_EQ(stats.max_fused, 4);

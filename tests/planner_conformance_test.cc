@@ -308,23 +308,6 @@ TEST_F(PlannerConformanceTest, MakePlannerRejectsUnknownAndMisconfigured) {
   EXPECT_TRUE(no_baseline.status().code() == StatusCode::kInvalidArgument);
 }
 
-TEST_F(PlannerConformanceTest, GuardStatsAggregateFieldWise) {
-  GuardStats a;
-  a.requests = 3;
-  a.neural_attempts = 2;
-  a.neural_nan = 1;
-  a.circuit_opens = 1;
-  GuardStats b;
-  b.requests = 4;
-  b.neural_attempts = 1;
-  b.greedy_success = 2;
-  a += b;
-  EXPECT_EQ(a.requests, 7);
-  EXPECT_EQ(a.neural_attempts, 3);
-  EXPECT_EQ(a.greedy_success, 2);
-  EXPECT_EQ(a.NeuralFailures(), 1);
-}
-
 }  // namespace
 }  // namespace core
 }  // namespace qps

@@ -25,6 +25,7 @@
 #include "util/cancel.h"
 #include "util/clock.h"
 #include "util/fault.h"
+#include "util/metrics.h"
 
 namespace qps {
 namespace serve {
@@ -558,6 +559,41 @@ TEST_F(ResilienceTest, CallerSideRetryAbsorbsTransientSubmitFaults) {
   auto result = service->Submit(request).get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(fault::FaultInjector::Global().Triggers("serve.submit"), 1);
+}
+
+TEST_F(ResilienceTest, CallerSideRetryExhaustionIsCounted) {
+  ShardedPlanServiceOptions opts;
+  opts.shards = 1;
+  opts.workers_per_shard = 2;
+  opts.retry.max_retries = 2;
+  opts.retry.backoff_base_ms = 0.1;
+  auto service = ShardedPlanService::Create(opts).value();
+  ASSERT_TRUE(service->AddTenant(Spec("stuck")).ok());
+
+  // serve.submit fails every attempt: the caller-side loop retries twice,
+  // then runs out of attempts — which counts as exhaustion, exactly as the
+  // worker-side loop counts it.
+  fault::FaultSpec spec;
+  spec.code = StatusCode::kUnavailable;
+  spec.trigger_on_hit = 1;
+  spec.sticky = true;
+  spec.only_context = "stuck";
+  fault::FaultInjector::Global().Arm("serve.submit", spec);
+
+  auto& reg = metrics::Registry::Global();
+  metrics::Counter* attempts = reg.GetCounter("qps.serve.retries.attempts");
+  metrics::Counter* exhausted = reg.GetCounter("qps.serve.retries.exhausted");
+  const int64_t attempts_before = attempts->value();
+  const int64_t exhausted_before = exhausted->value();
+
+  PlanRequest request = Req(ThreeWay(), 4);
+  request.tenant_id = "stuck";
+  auto result = service->Submit(request).get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(fault::FaultInjector::Global().Triggers("serve.submit"), 3);
+  EXPECT_EQ(attempts->value() - attempts_before, 2);
+  EXPECT_EQ(exhausted->value() - exhausted_before, 1);
 }
 
 TEST_F(ResilienceTest, CancelledOutcomesDoNotPolluteTheBreaker) {

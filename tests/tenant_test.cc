@@ -4,13 +4,15 @@
 // validation (ids, duplicates, unknown lookups), deterministic shard
 // routing, kNotFound routing for unknown tenants, quota isolation between
 // a hot and a cold tenant, remove-while-inflight quiescence, per-tenant
-// model swaps, and bit-identical plans vs. single-tenant serving. Runs in
+// model swaps, bit-identical plans vs. single-tenant serving, and one
+// ledger per event (registry families equal the owners' sums). Runs in
 // the tier-1 TSan set: the control-plane mutations race live Submits.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -19,10 +21,12 @@
 
 #include "core/planner_backends.h"
 #include "core/qpseeker.h"
+#include "obs/window.h"
 #include "query/parser.h"
 #include "serve/sharded_service.h"
 #include "storage/schemas.h"
 #include "util/fault.h"
+#include "util/metrics.h"
 
 namespace qps {
 namespace serve {
@@ -367,6 +371,142 @@ TEST_F(TenantTest, ControlPlaneRacesLiveTraffic) {
   churn.join();
   EXPECT_EQ(completed.load(), 2 * kPerClient);
   EXPECT_EQ(sharded->registry().size(), 2u);
+}
+
+// One ledger per event: across a scripted run — OK traffic, a ladder
+// degradation, a worker retry, shed-degrades and a model swap — every
+// registry family moves by exactly the sum of its owners' fields. The
+// swapped tenant's retired planner is an owner too, so its guard stats are
+// read just before the swap.
+TEST_F(TenantTest, RegistryFamiliesEqualTheSumOfTheOwnersLedgers) {
+  ShardedPlanServiceOptions options;
+  options.shards = 1;
+  options.workers_per_shard = 1;
+  options.retry.max_retries = 1;
+  options.retry.backoff_base_ms = 0.1;
+  auto sharded = ShardedPlanService::Create(options).value();
+  const std::vector<std::string> ids = {"ledger_a", "ledger_b"};
+  ASSERT_TRUE(sharded->AddTenant(Spec(ids[0], "guarded")).ok());
+  TenantSpec degradable = Spec(ids[1], "neural", 1);
+  degradable.quota.shed_to_baseline = true;
+  ASSERT_TRUE(sharded->AddTenant(std::move(degradable)).ok());
+
+  auto& reg = metrics::Registry::Global();
+  const std::vector<std::string> counters = {
+      "qps.serve.requests",
+      "qps.serve.shed",
+      "qps.serve.deadline_misses",
+      "qps.serve.retries.attempts",
+      "qps.serve.retries.exhausted",
+      "qps.serve.retries.success_after_retry",
+      "qps.guarded.requests",
+      "qps.guarded.served_neural",
+      "qps.guarded.served_greedy",
+      "qps.guarded.served_traditional",
+      "qps.guarded.circuit_short_circuits"};
+  auto read = [&] {
+    std::map<std::string, double> out;
+    for (const std::string& name : counters) {
+      out[name] = static_cast<double>(reg.GetCounter(name)->value());
+    }
+    for (const std::string name :
+         {"qps.serve.batch_size", "qps.serve.batch_plans"}) {
+      metrics::Histogram* hist = reg.GetHistogram(name);
+      out[name + ".count"] = static_cast<double>(hist->count());
+      out[name + ".sum"] = hist->sum();
+    }
+    return out;
+  };
+  auto plan = [&](const std::string& tenant, uint64_t seed) {
+    return sharded->Submit(Req(tenant, seed));
+  };
+  auto arm = [&](const std::string& tenant, StatusCode code,
+                 double latency_ms) {
+    fault::FaultSpec spec;
+    spec.code = code;
+    spec.latency_ms = latency_ms;
+    spec.trigger_on_hit = 1;
+    spec.only_context = tenant;
+    fault::FaultInjector::Global().Arm("mcts.rollout", spec);
+  };
+  const auto before = read();
+
+  for (uint64_t seed : {1u, 2u}) {
+    ASSERT_TRUE(plan(ids[0], seed).get().ok());
+    ASSERT_TRUE(plan(ids[1], seed).get().ok());
+  }
+  // Ladder degradation: tenant a's neural rung fails, greedy serves it.
+  arm(ids[0], StatusCode::kInternal, 0.0);
+  auto degraded = plan(ids[0], 3).get();
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  EXPECT_EQ(degraded->stage, core::PlanStage::kGreedy);
+  // Worker retry: tenant b's first attempt hits a transient fault.
+  arm(ids[1], StatusCode::kIOError, 0.0);
+  ASSERT_TRUE(plan(ids[1], 4).get().ok());
+  // Shed-degrade: tenant b's only worker stalls, its one-request quota
+  // fills, and the burst behind it runs on the inline DP planner.
+  arm(ids[1], StatusCode::kOk, 200.0);
+  std::vector<std::future<StatusOr<core::PlanResult>>> burst;
+  for (uint64_t seed = 10; seed < 15; ++seed) burst.push_back(plan(ids[1], seed));
+  for (auto& f : burst) ASSERT_TRUE(f.get().ok());
+  fault::FaultInjector::Global().DisarmAll();
+  // Swap: the retired planner keeps what it counted.
+  core::GuardStats guard = sharded->TenantGuardStats(ids[0]).value();
+  ASSERT_TRUE(sharded->SwapTenantModel(ids[0], SharedModel()).ok());
+  ASSERT_TRUE(plan(ids[0], 5).get().ok());
+
+  const auto after = read();
+  PlanService::Stats sum;
+  for (const std::string& id : ids) {
+    const PlanService::Stats st = sharded->TenantStats(id).value();
+    sum.submitted += st.submitted;
+    sum.shed += st.shed;
+    sum.shed_degraded += st.shed_degraded;
+    sum.deadline_hits += st.deadline_hits;
+    sum.retry_attempts += st.retry_attempts;
+    sum.retry_exhausted += st.retry_exhausted;
+    sum.retry_successes += st.retry_successes;
+    sum.batching.flushes += st.batching.flushes;
+    sum.batching.fused_queries += st.batching.fused_queries;
+    sum.batching.fused_plans += st.batching.fused_plans;
+    const core::GuardStats gs = sharded->TenantGuardStats(id).value();
+    guard.requests += gs.requests;
+    guard.neural_success += gs.neural_success;
+    guard.greedy_success += gs.greedy_success;
+    guard.traditional_success += gs.traditional_success;
+    guard.circuit_short_circuits += gs.circuit_short_circuits;
+    // The tenant-labelled window is fed by the same call as submitted.
+    EXPECT_EQ(obs::WindowRegistry::Global()
+                  .GetCounter("qps.tenant.requests." + id)
+                  ->Total(),
+              st.submitted);
+  }
+  // The script reached every event it meant to.
+  EXPECT_GT(sum.shed_degraded, 0);
+  EXPECT_EQ(sum.retry_attempts, 1);
+  EXPECT_EQ(sum.retry_successes, 1);
+  EXPECT_EQ(guard.greedy_success, 1);
+  EXPECT_GT(sum.batching.flushes, 0);
+
+  const std::map<std::string, int64_t> owners = {
+      {"qps.serve.requests", sum.submitted},
+      {"qps.serve.shed", sum.shed},
+      {"qps.serve.deadline_misses", sum.deadline_hits},
+      {"qps.serve.retries.attempts", sum.retry_attempts},
+      {"qps.serve.retries.exhausted", sum.retry_exhausted},
+      {"qps.serve.retries.success_after_retry", sum.retry_successes},
+      {"qps.serve.batch_size.count", sum.batching.flushes},
+      {"qps.serve.batch_size.sum", sum.batching.fused_queries},
+      {"qps.serve.batch_plans.sum", sum.batching.fused_plans},
+      {"qps.guarded.requests", guard.requests},
+      {"qps.guarded.served_neural", guard.neural_success},
+      {"qps.guarded.served_greedy", guard.greedy_success},
+      {"qps.guarded.served_traditional", guard.traditional_success},
+      {"qps.guarded.circuit_short_circuits", guard.circuit_short_circuits}};
+  for (const auto& [name, owned] : owners) {
+    EXPECT_EQ(after.at(name) - before.at(name), static_cast<double>(owned))
+        << name;
+  }
 }
 
 }  // namespace
