@@ -23,8 +23,8 @@
 // accumulated GuardStats for any backend.
 //
 // Serving mode (--serve): generates a workload of --requests queries and
-// drives them through serve::PlanService with --clients concurrent client
-// threads. Candidate evaluations from different in-flight queries fuse
+// drives them through a one-tenant serve::ShardedPlanService with
+// --clients workers and as many concurrent client threads. Candidate evaluations from different in-flight queries fuse
 // into shared batched model forwards (cross-query micro-batching); the
 // summary reports throughput, latency percentiles, the fused-batch
 // histogram, shed counts, and model-vs-simulated runtime q-error.
@@ -353,16 +353,16 @@ void PrintTenants(const serve::ShardedPlanService& sharded) {
   std::printf("%-20s %5s %-10s %6s %6s %9s %9s %9s\n", "tenant", "shard",
               "backend", "quota", "shed?", "submit", "done", "shed");
   for (const std::string& id : sharded.tenant_ids()) {
-    const auto spec = sharded.registry().Get(id);
-    const auto stats = sharded.TenantStats(id);
-    if (!spec.ok() || !stats.ok()) continue;
+    const auto core = sharded.Tenant(id);
+    if (core == nullptr) continue;  // removed meanwhile
+    const serve::PlanService::Stats stats = core->stats();
     std::printf("%-20s %5d %-10s %6zu %6s %9lld %9lld %9lld\n", id.c_str(),
-                sharded.ShardOf(id), spec->deps.planner_name.c_str(),
-                spec->quota.max_pending,
-                spec->quota.shed_to_baseline ? "degr" : "rej",
-                static_cast<long long>(stats->submitted),
-                static_cast<long long>(stats->completed),
-                static_cast<long long>(stats->shed));
+                sharded.ShardOf(id), core->planner_name().c_str(),
+                core->quota().max_pending,
+                core->quota().shed_to_baseline ? "degr" : "rej",
+                static_cast<long long>(stats.submitted),
+                static_cast<long long>(stats.completed),
+                static_cast<long long>(stats.shed));
   }
 }
 
@@ -399,26 +399,35 @@ int RunServe(const storage::Database& db, core::QpSeeker* model,
     snapshot->Start();
   }
 
-  serve::PlanServiceOptions sopts;
-  sopts.workers = std::max(1, opts.clients);
+  // One tenant on one shard: the shard's workers are the service's.
+  constexpr const char* kTenant = "serve";
+  serve::ShardedPlanServiceOptions sopts;
+  sopts.shards = 1;
+  sopts.workers_per_shard = std::max(1, opts.clients);
   sopts.default_deadline_ms = opts.deadline_ms;
-  sopts.shed_to_baseline = true;
   sopts.audit = audit.get();
   sopts.retry.max_retries = opts.retry_max;
   sopts.retry.backoff_base_ms = opts.retry_backoff_ms;
-  serve::PlanServiceDeps deps;
-  deps.planner_name = opts.planner;
-  deps.model = std::shared_ptr<const core::QpSeeker>(
-      std::shared_ptr<const core::QpSeeker>(), model);
-  deps.baseline = &baseline;
-  deps.guard_options = gopts;
-  auto service_or = serve::PlanService::Create(std::move(deps), sopts);
+  auto service_or = serve::ShardedPlanService::Create(sopts);
   if (!service_or.ok()) {
     std::fprintf(stderr, "plan service: %s\n",
                  service_or.status().ToString().c_str());
     return 2;
   }
   auto service = std::move(*service_or);
+  serve::TenantSpec spec;
+  spec.tenant_id = kTenant;
+  spec.deps.planner_name = opts.planner;
+  spec.deps.model = std::shared_ptr<const core::QpSeeker>(
+      std::shared_ptr<const core::QpSeeker>(), model);
+  spec.deps.baseline = &baseline;
+  spec.deps.guard_options = gopts;
+  spec.quota.max_pending = 32;
+  spec.quota.shed_to_baseline = true;
+  if (Status st = service->AddTenant(std::move(spec)); !st.ok()) {
+    std::fprintf(stderr, "plan service: %s\n", st.ToString().c_str());
+    return 2;
+  }
 
   // Complex-join workload so every backend exercises its neural path.
   eval::WorkloadOptions wo;
@@ -447,6 +456,7 @@ int RunServe(const storage::Database& db, core::QpSeeker* model,
            i += static_cast<size_t>(nclients)) {
         serve::PlanRequest request;
         request.query = queries[i];
+        request.tenant_id = kTenant;
         request.deadline_ms = opts.deadline_ms;
         // Per-request seeds pinned to the request index: the plans are a
         // function of the workload alone, not of scheduling.
@@ -469,7 +479,7 @@ int RunServe(const storage::Database& db, core::QpSeeker* model,
   std::vector<double> latencies;
   for (const auto& o : outcomes) latencies.push_back(o.latency_ms);
   const auto lat = eval::ComputePercentiles(std::move(latencies));
-  const auto stats = service->stats();
+  const auto stats = service->TenantStats(kTenant).value();
 
   std::printf("serve: %zu requests, %d clients, planner=%s\n", queries.size(),
               nclients, opts.planner.c_str());
@@ -487,7 +497,8 @@ int RunServe(const storage::Database& db, core::QpSeeker* model,
               static_cast<long long>(stats.shed_degraded),
               static_cast<long long>(stats.deadline_hits));
   if (opts.planner == "guarded") {
-    std::printf("  guards: %s\n", service->guard_stats().ToString().c_str());
+    std::printf("  guards: %s\n",
+                service->Tenant(kTenant)->guard_stats().ToString().c_str());
   }
 
   // Execute the returned plans serially: per-request q-error accounting
@@ -907,7 +918,7 @@ int main(int argc, char** argv) {
       const std::string id = StrTrim(sql.substr(7));
       if (sharded == nullptr) {
         std::printf("\\tenant requires --tenants=FILE\n");
-      } else if (!sharded->registry().Contains(id)) {
+      } else if (sharded->Tenant(id) == nullptr) {
         std::printf("no such tenant: %s (\\tenants lists them)\n", id.c_str());
       } else {
         current_tenant = id;

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <unordered_map>
 
 #include "nn/optim.h"
@@ -657,9 +656,7 @@ std::vector<float> QpSeeker::LatentVector(const Query& q, const PlanNode& plan) 
 }
 
 Status QpSeeker::Save(const std::string& path) const {
-  // One atomic file: weights plus the fitted normalizer as scalar entries
-  // (v1 checkpoints carried the normalizer in a ".norm" sidecar, which a
-  // torn copy could orphan).
+  // One atomic file: weights plus the fitted normalizer as scalar entries.
   return nn::SaveModule(*bundle_, path, NormalizerEntries(normalizer_));
 }
 
@@ -682,19 +679,14 @@ bool QpSeeker::quantized() const {
 Status QpSeeker::Load(const std::string& path) {
   nn::ScalarEntries extra;
   QPS_RETURN_IF_ERROR(nn::LoadModule(bundle_.get(), path, &extra));
-  double lm[3] = {0, 0, 0};
-  if (FindNormalizerEntries(extra, lm)) {
-    NormalizerFromLogMax(lm[0], lm[1], lm[2], &normalizer_);
-  } else {
-    // Legacy v1 layout: normalizer in a plain-text sidecar.
-    std::ifstream norm(path + ".norm");
-    if (!norm) return Status::IOError("cannot read " + path + ".norm");
-    double c = 0, k = 0, r = 0;
-    norm >> c >> k >> r;
-    NormalizerFromLogMax(c, k, r, &normalizer_);
-  }
   // Loaded weights invalidate any predictions cached under the old ones.
   if (cache_ != nullptr) cache_->Clear();
+  double lm[3] = {0, 0, 0};
+  if (!FindNormalizerEntries(extra, lm)) {
+    return Status::InvalidArgument("checkpoint " + path +
+                                   ": no normalizer entries");
+  }
+  NormalizerFromLogMax(lm[0], lm[1], lm[2], &normalizer_);
   return Status::OK();
 }
 

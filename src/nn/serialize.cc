@@ -16,7 +16,6 @@ namespace nn {
 
 namespace {
 
-constexpr uint32_t kMagicV1 = 0x51505301;  // "QPS\1"
 constexpr uint32_t kMagicV2 = 0x51505302;  // "QPS\2"
 constexpr uint32_t kFormatVersion = 2;
 constexpr uint32_t kMaxSections = 64;
@@ -170,7 +169,7 @@ Status CheckOverwriteSafe(const std::string& path) {
   uint32_t magic = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   if (in.gcount() == 0) return Status::OK();  // empty placeholder is fine
-  if (in.gcount() != sizeof(magic) || (magic != kMagicV1 && magic != kMagicV2)) {
+  if (in.gcount() != sizeof(magic) || magic != kMagicV2) {
     return Status::InvalidArgument(
         "refusing to overwrite non-checkpoint file: " + path);
   }
@@ -226,9 +225,6 @@ class Reader {
     return ReadRaw(v, sizeof(*v), what);
   }
   Status ReadF64(double* v, const char* what) {
-    return ReadRaw(v, sizeof(*v), what);
-  }
-  Status ReadI64(int64_t* v, const char* what) {
     return ReadRaw(v, sizeof(*v), what);
   }
   Status ReadF32(float* v, const char* what) {
@@ -551,10 +547,10 @@ Status ParseV2(const std::string& buf, const std::string& context,
   return Status::OK();
 }
 
-/// Copies parsed tensors into module parameters by name. `strict` (v2)
-/// additionally requires every module parameter to be present exactly once.
+/// Copies parsed tensors into module parameters by name, requiring every
+/// module parameter to be present exactly once.
 Status ApplyTensorsToModule(const NamedTensors& stored, Module* module,
-                            const std::string& context, bool strict) {
+                            const std::string& context) {
   auto params = module->Parameters();
   std::unordered_map<std::string, Var> by_name;
   for (auto& p : params) by_name[p.name] = p.var;
@@ -578,7 +574,7 @@ Status ApplyTensorsToModule(const NamedTensors& stored, Module* module,
       return Status::InvalidArgument(context + ": duplicate tensor: " + name);
     }
   }
-  if (strict && seen.size() != by_name.size()) {
+  if (seen.size() != by_name.size()) {
     for (const auto& p : params) {
       if (seen.count(p.name) == 0) {
         return Status::NotFound(context +
@@ -588,55 +584,6 @@ Status ApplyTensorsToModule(const NamedTensors& stored, Module* module,
   }
   for (const auto& [name, t] : stored) by_name[name]->value = t;
   return Status::OK();
-}
-
-/// Hardened v1 loader: the legacy framing, but every read checked against
-/// the actual byte budget, every size capped, and trailing bytes rejected.
-Status LoadV1(const std::string& buf, const std::string& context,
-              Module* module) {
-  Reader r(buf, context);
-  uint32_t magic = 0;
-  QPS_RETURN_IF_ERROR(r.ReadU32(&magic, "magic"));
-  uint64_t count = 0;
-  QPS_RETURN_IF_ERROR(r.ReadU64(&count, "tensor count"));
-  if (count > kMaxCheckpointTensors || count > buf.size() / 24) {
-    return r.Malformed("tensor count " + std::to_string(count) +
-                       " impossible for file of " + std::to_string(buf.size()) +
-                       " bytes");
-  }
-
-  NamedTensors stored;
-  stored.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    const std::string which = "tensor #" + std::to_string(i);
-    uint64_t name_len = 0;
-    QPS_RETURN_IF_ERROR(r.ReadU64(&name_len, "tensor name length"));
-    if (name_len > kMaxCheckpointNameLen) {
-      return r.Malformed(which + ": name length " + std::to_string(name_len) +
-                         " exceeds cap");
-    }
-    std::string name;
-    QPS_RETURN_IF_ERROR(
-        r.ReadString(static_cast<size_t>(name_len), &name, "tensor name"));
-    const std::string label = which + " ('" + name + "')";
-    int64_t rows = 0, cols = 0;
-    QPS_RETURN_IF_ERROR(r.ReadI64(&rows, "tensor rows"));
-    QPS_RETURN_IF_ERROR(r.ReadI64(&cols, "tensor cols"));
-    if (rows < 0 || cols < 0 ||
-        (rows > 0 && cols > kMaxCheckpointTensorElems / rows)) {
-      return r.Malformed(label + ": invalid shape " + std::to_string(rows) +
-                         "x" + std::to_string(cols));
-    }
-    Tensor t;
-    QPS_RETURN_IF_ERROR(r.ReadTensorData(rows, cols, &t, label.c_str()));
-    stored.emplace_back(std::move(name), std::move(t));
-  }
-  if (r.remaining() != 0) {
-    return r.Malformed("trailing garbage after last tensor");
-  }
-  // v1 files predate strict coverage: stored tensors must match the module,
-  // but module parameters absent from the file keep their initialization.
-  return ApplyTensorsToModule(stored, module, context, /*strict=*/false);
 }
 
 std::vector<std::pair<std::string, const Tensor*>> ModuleTensors(
@@ -696,7 +643,7 @@ Status SaveModuleQuantized(const Module& module, const std::string& path,
   }
 
   // Everything not quantized stays f32 in the normal model section, so the
-  // strict loader's full-coverage check keeps working.
+  // loader's full-coverage check keeps working.
   const auto params = module.Parameters();
   std::vector<std::pair<std::string, const Tensor*>> f32_tensors;
   f32_tensors.reserve(params.size());
@@ -731,13 +678,6 @@ Status LoadModule(Module* module, const std::string& path, ScalarEntries* extra)
   }
   uint32_t magic = 0;
   std::memcpy(&magic, buf.data(), 4);
-  if (magic == kMagicV1) {
-    if (extra != nullptr) extra->clear();
-    QPS_RETURN_IF_ERROR(LoadV1(buf, context, module));
-    // v1 predates quantization; stale slots must not serve old weights.
-    ClearModuleQuantization(module);
-    return Status::OK();
-  }
   if (magic != kMagicV2) {
     return Status::InvalidArgument(context + ": bad magic");
   }
@@ -754,7 +694,7 @@ Status LoadModule(Module* module, const std::string& path, ScalarEntries* extra)
   // Quant section: validate every record against a module target BEFORE
   // ApplyTensorsToModule mutates anything, so a bad quant checkpoint leaves
   // the module untouched. Dequantized copies join the f32 list to satisfy
-  // the strict full-coverage check.
+  // the full-coverage check.
   NamedQuantTensors qstored;
   if (const Section* qsec = parsed.Find(kSecModelInt8, kSectionQuantTensors)) {
     QPS_RETURN_IF_ERROR(
@@ -780,8 +720,7 @@ Status LoadModule(Module* module, const std::string& path, ScalarEntries* extra)
     stored.emplace_back(name, Dequantize(q));
   }
 
-  QPS_RETURN_IF_ERROR(ApplyTensorsToModule(stored, module, context,
-                                           /*strict=*/true));
+  QPS_RETURN_IF_ERROR(ApplyTensorsToModule(stored, module, context));
 
   // Weights changed: any previously attached quantization is stale. A plain
   // f32 checkpoint leaves the module fully dequantized; a quant checkpoint
@@ -805,24 +744,6 @@ Status LoadModule(Module* module, const std::string& path, ScalarEntries* extra)
     }
   }
   return Status::OK();
-}
-
-Status SaveModuleV1(const Module& module, const std::string& path) {
-  QPS_RETURN_IF_ERROR(CheckOverwriteSafe(path));
-  const auto params = module.Parameters();
-  QPS_RETURN_IF_ERROR(ValidateWritableTensors(ModuleTensors(module, params)));
-  std::string out;
-  PutU32(&out, kMagicV1);
-  PutU64(&out, params.size());
-  for (const auto& p : params) {
-    PutU64(&out, p.name.size());
-    out.append(p.name);
-    PutU64(&out, static_cast<uint64_t>(p.var->value.rows()));
-    PutU64(&out, static_cast<uint64_t>(p.var->value.cols()));
-    out.append(reinterpret_cast<const char*>(p.var->value.data()),
-               sizeof(float) * static_cast<size_t>(p.var->value.size()));
-  }
-  return io::AtomicWriteFile(path, out);
 }
 
 Status SaveTrainingCheckpoint(const Module& module, const Optimizer& optimizer,
@@ -922,8 +843,7 @@ Status LoadTrainingCheckpoint(Module* module, Optimizer* optimizer,
   weight_snapshot.reserve(params.size());
   for (const auto& p : params) weight_snapshot.push_back(p.var->value);
 
-  QPS_RETURN_IF_ERROR(ApplyTensorsToModule(model_tensors, module, context,
-                                           /*strict=*/true));
+  QPS_RETURN_IF_ERROR(ApplyTensorsToModule(model_tensors, module, context));
   std::unordered_map<std::string, const Tensor*> opt_map;
   for (const auto& [name, t] : opt_tensors) opt_map[name] = &t;
   std::unordered_map<std::string, double> opt_scalar_map(
@@ -950,8 +870,7 @@ bool LooksLikeCheckpoint(const std::string& path) {
   if (!in) return false;
   uint32_t magic = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  return in.gcount() == sizeof(magic) &&
-         (magic == kMagicV1 || magic == kMagicV2);
+  return in.gcount() == sizeof(magic) && magic == kMagicV2;
 }
 
 }  // namespace nn

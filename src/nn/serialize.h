@@ -15,9 +15,6 @@
 // length, count, and per-record CRC against the actual byte budget — a
 // corrupt, truncated, or adversarial file yields a clean Status naming the
 // failing section/tensor, never a crash, hang, or unbounded allocation.
-//
-// Format v1 (magic "QPS\1", no version field, no checksums) is still
-// readable through the same hardened bounds-checked path.
 
 #ifndef QPS_NN_SERIALIZE_H_
 #define QPS_NN_SERIALIZE_H_
@@ -61,11 +58,11 @@ Status SaveModule(const Module& module, const std::string& path,
 Status SaveModuleQuantized(const Module& module, const std::string& path,
                            const ScalarEntries& extra = {});
 
-/// Loads parameters by name into an already-constructed module, accepting
-/// v1 and v2 files. Fails — naming the offending tensor — if a stored name
-/// is missing from the module, a shape differs, any checksum or bound is
-/// violated, or (v2) a module parameter is absent from the file. When
-/// `extra` is non-null it receives the stored scalar entries (empty for v1).
+/// Loads parameters by name into an already-constructed module. Fails —
+/// naming the offending tensor — on any magic but v2's ("bad magic"), if a
+/// stored name is missing from the module, a shape differs, any checksum or
+/// bound is violated, or a module parameter is absent from the file. When
+/// `extra` is non-null it receives the stored scalar entries.
 ///
 /// A `model_int8` section, when present, is validated (dims, scheme,
 /// finite positive scales, zero weight zero-points, CRCs), dequantized
@@ -75,9 +72,6 @@ Status SaveModuleQuantized(const Module& module, const std::string& path,
 /// the module is left untouched.
 Status LoadModule(Module* module, const std::string& path,
                   ScalarEntries* extra = nullptr);
-
-/// Legacy v1 writer, kept so compatibility tests can produce real v1 files.
-Status SaveModuleV1(const Module& module, const std::string& path);
 
 /// Everything beyond weights that a resumable training run needs.
 struct TrainingState {
@@ -98,7 +92,7 @@ Status SaveTrainingCheckpoint(const Module& module, const Optimizer& optimizer,
 Status LoadTrainingCheckpoint(Module* module, Optimizer* optimizer,
                               TrainingState* state, const std::string& path);
 
-/// True when `path` starts with a v1 or v2 checkpoint magic (existence and
+/// True when `path` starts with the checkpoint magic (existence and
 /// readability included) — a cheap pre-check, not a validation.
 bool LooksLikeCheckpoint(const std::string& path);
 

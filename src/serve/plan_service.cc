@@ -3,14 +3,14 @@
 #include "serve/plan_service.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
-#include <thread>
+#include <cstdint>
 #include <utility>
 
+#include "core/health.h"
 #include "core/plan_cache.h"
 #include "obs/audit.h"
 #include "obs/window.h"
+#include "serve/sharded_service.h"
 #include "util/fault.h"
 #include "util/metrics.h"
 #include "util/timer.h"
@@ -19,35 +19,36 @@
 namespace qps {
 namespace serve {
 
-namespace {
-
-/// Blocking backoff between retry attempts. Millisecond-scale sleeps on a
-/// worker (or submitting) thread; the deadline budget has already been
-/// checked by the caller.
-void SleepForBackoff(double backoff_ms) {
-  if (backoff_ms <= 0.0) return;
-  std::this_thread::sleep_for(
-      std::chrono::duration<double, std::milli>(backoff_ms));
-}
-
-}  // namespace
-
-/// One admitted request: the PlanRequest lives here until a worker picks
-/// the task up, and the promise carries the result back.
+/// One submitted request, from Submit until Finish resolves its promise.
 struct PlanService::Request {
-  PlanRequest request;
+  PlanRequest request;  ///< deadline_ms already defaulted
   std::promise<StatusOr<core::PlanResult>> promise;
-  Timer queued;  ///< admission -> task start, for qps.serve.queue_ms
+  Timer submitted;  ///< the retry budget's clock
+  Timer queued;     ///< admission -> first plan start, qps.serve.queue_ms
+  bool planned = false;  ///< a planning attempt has started
+  double queue_ms = 0.0;
+  Timer planning;   ///< since the first plan start, qps.serve.latency_ms
+  int retries = 0;  ///< retries taken, from any stage
+  bool probe = false;  ///< admitted as a breaker probe, not yet settled
+  /// Armed for fail_on_deadline requests without a caller token, so a
+  /// blown deadline aborts the search instead of running out its budget.
+  std::shared_ptr<util::CancelToken> deadline_token;
+
+  const util::CancelToken* cancel() const {
+    return request.cancel != nullptr ? request.cancel.get()
+                                     : deadline_token.get();
+  }
 };
 
 StatusOr<std::unique_ptr<PlanService>> PlanService::Create(
-    PlanServiceDeps deps, PlanServiceOptions options) {
-  std::shared_ptr<const core::QpSeeker> model = std::move(deps.model);
+    TenantSpec spec, const ShardedPlanServiceOptions& options,
+    util::ThreadPool* pool, core::HealthMonitor* health, int shard) {
+  std::shared_ptr<const core::QpSeeker> model = std::move(spec.deps.model);
   std::unique_ptr<PlanService> service(
-      new PlanService(std::move(deps), std::move(options)));
+      new PlanService(std::move(spec), options, pool, health, shard));
   QPS_ASSIGN_OR_RETURN(service->generation_,
                        service->BuildGeneration(std::move(model)));
-  if (service->options_.shed_to_baseline) {
+  if (service->quota_.shed_to_baseline) {
     if (service->baseline_ == nullptr) {
       return Status::InvalidArgument(
           "shed_to_baseline requires a baseline planner");
@@ -81,15 +82,23 @@ std::shared_ptr<const PlanService::Generation> PlanService::CurrentGeneration()
   return generation_;
 }
 
-PlanService::PlanService(PlanServiceDeps deps, PlanServiceOptions options)
-    : options_(std::move(options)),
-      planner_name_(std::move(deps.planner_name)),
-      baseline_(deps.baseline),
-      gopts_(deps.guard_options),
+PlanService::PlanService(TenantSpec spec,
+                         const ShardedPlanServiceOptions& options,
+                         util::ThreadPool* pool, core::HealthMonitor* health,
+                         int shard)
+    : tenant_id_(std::move(spec.tenant_id)),
+      quota_(spec.quota),
+      options_(options),
+      planner_name_(std::move(spec.deps.planner_name)),
+      baseline_(spec.deps.baseline),
+      gopts_(spec.deps.guard_options),
+      pool_(pool),
+      health_(health),
+      shard_key_("shard_" + std::to_string(shard)),
       submitted_("qps.serve.requests", obs::Feed::kWindowed,
-                 "qps.tenant.requests", options_.tenant_id),
+                 "qps.tenant.requests", tenant_id_),
       shed_("qps.serve.shed", obs::Feed::kWindowed, "qps.tenant.shed",
-            options_.tenant_id),
+            tenant_id_),
       deadline_hits_("qps.serve.deadline_misses"),
       deadline_errors_("qps.serve.deadline_misses"),
       retry_attempts_("qps.serve.retries.attempts", obs::Feed::kWindowed),
@@ -97,33 +106,18 @@ PlanService::PlanService(PlanServiceDeps deps, PlanServiceOptions options)
       retry_successes_("qps.serve.retries.success_after_retry"),
       queue_ms_("qps.serve.queue_ms", obs::Feed::kWindowed),
       latency_ms_("qps.serve.latency_ms", obs::Feed::kWindowed,
-                  "qps.tenant.latency_ms", options_.tenant_id),
+                  "qps.tenant.latency_ms", tenant_id_),
       batch_size_("qps.serve.batch_size"),
       batch_plans_("qps.serve.batch_plans"),
       inflight_gauge_(
           metrics::Registry::Global().GetGauge("qps.serve.inflight")),
       queue_depth_gauge_(
-          metrics::Registry::Global().GetGauge("qps.serve.queue_depth")) {
-  if (options_.pool == nullptr) {
-    owned_pool_ = std::make_unique<util::ThreadPool>(options_.workers);
-  }
-}
+          metrics::Registry::Global().GetGauge("qps.serve.queue_depth")) {}
 
 PlanService::~PlanService() {
-  // On a shared pool the service cannot drain by destroying it; wait out
-  // every task that still references this object.
-  if (options_.pool != nullptr) Quiesce();
-}
-
-void PlanService::TaskStarted() {
-  std::lock_guard<std::mutex> lock(outstanding_mu_);
-  outstanding_ += 1;
-}
-
-void PlanService::TaskFinished() {
-  std::lock_guard<std::mutex> lock(outstanding_mu_);
-  outstanding_ -= 1;
-  if (outstanding_ == 0) outstanding_cv_.notify_all();
+  // The shard pool outlives the core; wait out every request that still
+  // references it.
+  Quiesce();
 }
 
 void PlanService::Quiesce() {
@@ -131,249 +125,234 @@ void PlanService::Quiesce() {
   outstanding_cv_.wait(lock, [this] { return outstanding_ == 0; });
 }
 
-StatusOr<core::PlanResult> PlanService::PlanShedded(const query::Query& q,
-                                                    const char* reason) {
-  auto result = shed_planner_->Plan(q, core::PlanRequestOptions{});
-  if (result.ok()) result->fallback_reason = std::string("shed: ") + reason;
-  return result;
-}
-
-void PlanService::ShedRequest(Request& req, const char* reason) {
-  if (shed_planner_ != nullptr) {
-    shed_degraded_.fetch_add(1, std::memory_order_release);
-  }
-  shed_.Increment();
-  obs::AuditRecord record;
-  record.query_hash = core::QueryFingerprint(req.request.query);
-  record.backend = planner_name_;
-  record.tenant = req.request.tenant_id.empty() ? options_.tenant_id
-                                                : req.request.tenant_id;
-  record.reason = reason;
-  if (shed_planner_ != nullptr) {
-    StatusOr<core::PlanResult> degraded =
-        PlanShedded(req.request.query, reason);
-    if (options_.audit != nullptr) {
-      record.outcome = "shed_degraded";
-      if (degraded.ok()) {
-        record.stage = core::PlanStageName(degraded->stage);
-        record.plan_ms = degraded->plan_ms;
-        record.plans_evaluated = degraded->plans_evaluated;
-        record.fallback_reason = degraded->fallback_reason;
-      }
-      options_.audit->Append(record);
-    }
-    req.promise.set_value(std::move(degraded));
-  } else {
-    if (options_.audit != nullptr) {
-      record.outcome = "shed";
-      options_.audit->Append(record);
-    }
-    // Quarantine rejections are kUnavailable (retryable once the breaker
-    // half-opens); load sheds stay kResourceExhausted. Either way the
-    // machine-readable cause rides Status::reason(), not the message.
-    Status rejected =
-        std::strcmp(reason, "quarantined") == 0
-            ? Status::Unavailable("tenant quarantined by health monitor")
-            : Status::ResourceExhausted("plan service admission queue full");
-    req.promise.set_value(std::move(rejected).SetReason(reason));
-  }
-}
-
-std::future<StatusOr<core::PlanResult>> PlanService::SubmitDegraded(
-    PlanRequest request, const char* reason) {
-  submitted_.Increment();
-  auto req = std::make_shared<Request>();
-  req->request = std::move(request);
-  auto future = req->promise.get_future();
-  ShedRequest(*req, reason);
-  return future;
-}
-
 std::future<StatusOr<core::PlanResult>> PlanService::Submit(
     PlanRequest request) {
   QPS_TRACE_SPAN("serve.submit");
   submitted_.Increment();
-
   auto req = std::make_shared<Request>();
   req->request = std::move(request);
+  if (req->request.deadline_ms <= 0.0) {
+    req->request.deadline_ms = options_.default_deadline_ms;
+  }
   auto future = req->promise.get_future();
-
-  // Chaos hook on the submitting thread, before admission: an armed
-  // serve.submit spec fails the request synchronously (the future is ready
-  // on return), which is exactly the shape the caller-side retry loop in
-  // ShardedPlanService handles. Scoped to the tenant so only_context specs
-  // can target one tenant's submissions.
   {
-    fault::ScopedContext fault_ctx(req->request.tenant_id.empty()
-                                       ? options_.tenant_id
-                                       : req->request.tenant_id);
-    Status injected = fault::Check("serve.submit");
-    if (!injected.ok()) {
-      errors_.fetch_add(1, std::memory_order_release);
-      req->promise.set_value(std::move(injected));
-      return future;
-    }
+    std::lock_guard<std::mutex> lock(outstanding_mu_);
+    outstanding_ += 1;
   }
-
-  // Admission: bound admitted-but-unstarted requests at max_queue. A pool
-  // with no workers runs everything inline on the caller and never sheds
-  // (matching ThreadPool's never-drop inline semantics).
-  const bool inline_pool = active_pool().num_threads() == 0;
-  const int64_t prior = pending_.fetch_add(1, std::memory_order_relaxed);
-  if (!inline_pool && prior >= static_cast<int64_t>(options_.max_queue)) {
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    ShedRequest(*req, "shed_queue_full");
-    return future;
-  }
-
-  TaskStarted();
-  auto task = [this, req] {
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    RunRequest(*req);
-    TaskFinished();
-  };
-  bool admitted = true;
-  if (options_.pool != nullptr && options_.pool_max_queue > 0) {
-    admitted = active_pool().TrySchedule(std::move(task),
-                                         options_.pool_max_queue);
-  } else {
-    active_pool().Schedule(std::move(task));
-  }
-  queue_depth_gauge_->Set(static_cast<double>(queue_depth()));
-  if (!admitted) {
-    // Shard-pool backstop tripped: the tenant was under its own quota but
-    // the shared pool is drowning in aggregate traffic.
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    TaskFinished();
-    ShedRequest(*req, "shed_pool_backstop");
-  }
+  Admit(req);
   return future;
 }
 
-void PlanService::RunRequest(Request& req) {
-  const double queue_ms = req.queued.ElapsedMillis();
-  queue_ms_.Record(queue_ms);
+void PlanService::Admit(const RequestPtr& req) {
+  fault::ScopedContext fault_ctx(tenant_id_);
+  // The breaker first: a quarantined tenant's traffic reaches neither the
+  // fault point nor the shard pool the quarantine protects.
+  const core::AdmitDecision admit = health_->Admit(tenant_id_);
+  if (admit == core::AdmitDecision::kReject) {
+    if (shed_planner_ != nullptr) return Degrade(req, "quarantined");
+    return Settle(req,
+                  Status::Unavailable("tenant quarantined by health monitor")
+                      .SetReason("quarantined"),
+                  Stage::kShed);
+  }
+  req->probe = (admit == core::AdmitDecision::kProbe);
+
+  if (Status injected = fault::Check("serve.submit"); !injected.ok()) {
+    // Never planned, so a probe slot goes back; the fault itself is a
+    // health signal.
+    AbandonProbe(*req);
+    health_->Record(tenant_id_, injected, /*probe=*/false);
+    return Settle(req, std::move(injected), Stage::kAdmit);
+  }
+
+  // The tenant quota, then the shard pool's backstop.
+  const char* shed = nullptr;
+  if (pending_.fetch_add(1, std::memory_order_relaxed) >=
+      static_cast<int64_t>(quota_.max_pending)) {
+    shed = "shed_queue_full";
+  } else {
+    queue_depth_gauge_->Set(static_cast<double>(queue_depth()));
+    req->queued.Reset();
+    const size_t backstop =
+        options_.shard_max_queue > 0 ? options_.shard_max_queue : SIZE_MAX;
+    if (pool_->TrySchedule(
+            [this, req] {
+              pending_.fetch_sub(1, std::memory_order_relaxed);
+              Plan(req);
+            },
+            backstop)) {
+      return;
+    }
+    shed = "shed_pool_backstop";
+  }
+  pending_.fetch_sub(1, std::memory_order_relaxed);
+  AbandonProbe(*req);
+  if (shed_planner_ != nullptr) return Degrade(req, shed);
+  Settle(req,
+         Status::ResourceExhausted("plan service admission queue full")
+             .SetReason(shed),
+         Stage::kShed);
+}
+
+void PlanService::Plan(const RequestPtr& req) {
+  fault::ScopedContext fault_ctx(tenant_id_);
+  if (!req->planned) {
+    req->planned = true;
+    req->queue_ms = req->queued.ElapsedMillis();
+    queue_ms_.Record(req->queue_ms);
+    req->planning.Reset();
+    if (req->request.cancel == nullptr && req->request.fail_on_deadline &&
+        req->request.deadline_ms > 0.0) {
+      req->deadline_token = std::make_shared<util::CancelToken>();
+      req->deadline_token->ArmDeadline(req->request.deadline_ms);
+    }
+  }
   const int inflight = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
   inflight_gauge_->Set(static_cast<double>(inflight));
   queue_depth_gauge_->Set(static_cast<double>(queue_depth()));
-  if (auto gen = CurrentGeneration(); gen->rendezvous != nullptr) {
-    gen->rendezvous->SetExpected(inflight);
-  }
 
-  QPS_TRACE_SPAN_VAR(span, "serve.plan");
-  Timer timer;
-  core::PlanRequestOptions ropts;
-  ropts.deadline_ms = req.request.deadline_ms > 0.0
-                          ? req.request.deadline_ms
-                          : options_.default_deadline_ms;
-  ropts.fail_on_deadline = req.request.fail_on_deadline;
-  ropts.seed = req.request.seed;
-  ropts.tenant_id = req.request.tenant_id.empty() ? options_.tenant_id
-                                                  : req.request.tenant_id;
-
-  // Cancellation: the caller's token when supplied; otherwise, for
-  // fail_on_deadline requests, a service-armed one so a blown deadline
-  // aborts the search cooperatively instead of running out the budget.
-  // Best-effort requests keep their anytime semantics (no token).
-  std::shared_ptr<util::CancelToken> deadline_token;
-  const util::CancelToken* cancel = req.request.cancel.get();
-  if (cancel == nullptr && req.request.fail_on_deadline &&
-      ropts.deadline_ms > 0.0) {
-    deadline_token = std::make_shared<util::CancelToken>();
-    deadline_token->ArmDeadline(ropts.deadline_ms);
-    cancel = deadline_token.get();
-  }
-  ropts.cancel = cancel;
-
-  auto plan_once = [&]() -> StatusOr<core::PlanResult> {
-    // Planning runs under the tenant's fault context, so chaos specs with
-    // only_context follow this request onto whichever worker runs it.
-    fault::ScopedContext fault_ctx(ropts.tenant_id);
+  StatusOr<core::PlanResult> result = [&]() -> StatusOr<core::PlanResult> {
+    QPS_TRACE_SPAN_VAR(span, "serve.plan");
     // The snapshot keeps planner, rendezvous and model alive for the whole
     // attempt, even if a swap publishes a new generation meanwhile.
     const std::shared_ptr<const Generation> gen = CurrentGeneration();
+    core::PlanRequestOptions ropts;
+    ropts.deadline_ms = req->request.deadline_ms;
+    ropts.fail_on_deadline = req->request.fail_on_deadline;
+    ropts.seed = req->request.seed;
+    ropts.tenant_id = tenant_id_;
+    ropts.cancel = req->cancel();
     if (BatchRendezvous* rdv = gen->rendezvous.get(); rdv != nullptr) {
+      rdv->SetExpected(inflight);
       ropts.evaluate = [rdv](const query::Query& q,
                              const std::vector<const query::PlanNode*>& plans) {
         return rdv->Evaluate(q, plans);
       };
     }
-    return gen->planner->Plan(req.request.query, ropts);
-  };
-
-  // Worker-side retry: transient planning failures re-plan here, each
-  // attempt budgeted against the request deadline. Backoff jitter is a
-  // pure function of (seed, attempt), so a fixed seed replays the same
-  // schedule — and the same plan — regardless of scheduling.
-  const RetryPolicy& retry = options_.retry;
-  int retries_taken = 0;
-  StatusOr<core::PlanResult> result = plan_once();
-  while (!result.ok()) {
-    const Status& failure = result.status();
-    const bool cancelled = util::Cancelled(cancel);
-    const int attempt = retries_taken + 1;
-    if (cancelled || !retry.ShouldRetry(failure, attempt)) break;
-    const double backoff_ms = retry.BackoffMs(attempt, req.request.seed);
-    if (!RetryPolicy::FitsBudget(backoff_ms, timer.ElapsedMillis(),
-                                 ropts.deadline_ms)) {
-      retry_exhausted_.Increment();
-      break;
-    }
-    if (options_.on_attempt) {
-      options_.on_attempt(req.request, failure, /*final_attempt=*/false);
-    }
-    retry_attempts_.Increment();
-    SleepForBackoff(backoff_ms);
-    retries_taken += 1;
-    result = plan_once();
-  }
-  if (!result.ok() && retries_taken >= retry.max_retries && retry.enabled() &&
-      result.status().IsRetryable() && !util::Cancelled(cancel)) {
-    // Ran out of attempts (as opposed to budget or a terminal failure).
-    retry_exhausted_.Increment();
-  }
-  if (result.ok() && retries_taken > 0) retry_successes_.Increment();
-  if (options_.on_attempt) {
-    options_.on_attempt(req.request, result.status(), /*final_attempt=*/true);
-  }
-
-  const double latency_ms = timer.ElapsedMillis();
-  latency_ms_.Record(latency_ms);
-  span.AddAttr("ok", result.ok() ? 1 : 0);
-  if (options_.audit != nullptr) {
-    obs::AuditRecord record;
-    record.query_hash = core::QueryFingerprint(req.request.query);
-    record.backend = planner_name_;
-    record.tenant = req.request.tenant_id.empty() ? options_.tenant_id
-                                                  : req.request.tenant_id;
-    record.outcome = result.ok() ? "ok" : "error";
-    record.queue_ms = queue_ms;
-    record.plan_ms = latency_ms;
-    if (result.ok()) {
-      record.stage = core::PlanStageName(result->stage);
-      record.deadline_hit = result->deadline_hit;
-      record.plans_evaluated = result->plans_evaluated;
-      record.fallback_reason = result->fallback_reason;
-    } else {
-      record.fallback_reason = result.status().ToString();
-      record.reason = result.status().reason();
-    }
-    options_.audit->Append(record);
-  }
-  if (result.ok()) {
-    if (result->deadline_hit) deadline_hits_.Increment();
-    completed_.fetch_add(1, std::memory_order_release);
-  } else {
-    if (result.status().IsDeadlineExceeded()) deadline_errors_.Increment();
-    errors_.fetch_add(1, std::memory_order_release);
-  }
+    auto planned = gen->planner->Plan(req->request.query, ropts);
+    span.AddAttr("ok", planned.ok() ? 1 : 0);
+    return planned;
+  }();
 
   const int remaining = inflight_.fetch_sub(1, std::memory_order_relaxed) - 1;
   inflight_gauge_->Set(static_cast<double>(remaining));
   if (auto gen = CurrentGeneration(); gen->rendezvous != nullptr) {
     gen->rendezvous->SetExpected(std::max(remaining, 1));
   }
+  Settle(req, std::move(result), Stage::kPlan);
+}
+
+void PlanService::Settle(const RequestPtr& req,
+                         StatusOr<core::PlanResult> result, Stage stage) {
+  // Retry: a transient failure whose backoff fits the request deadline
+  // re-enters the stage that failed from the pool's delayed queue. The
+  // backoff is a pure function of (seed, attempt), so a fixed seed replays
+  // the same schedule, and the same plan.
+  const RetryPolicy& retry = options_.retry;
+  if (!result.ok() && !util::Cancelled(req->cancel())) {
+    const Status& failure = result.status();
+    const int attempt = req->retries + 1;
+    if (retry.ShouldRetry(failure, attempt)) {
+      const double backoff_ms = retry.BackoffMs(attempt, req->request.seed);
+      if (RetryPolicy::FitsBudget(backoff_ms, req->submitted.ElapsedMillis(),
+                                  req->request.deadline_ms)) {
+        if (stage == Stage::kPlan) {
+          RecordPlanOutcome(*req, failure, /*final_attempt=*/false);
+        }
+        retry_attempts_.Increment();
+        req->retries = attempt;
+        pool_->ScheduleAfter(backoff_ms, [this, req, stage] {
+          if (stage == Stage::kPlan) {
+            Plan(req);
+          } else {
+            Admit(req);
+          }
+        });
+        return;
+      }
+      retry_exhausted_.Increment();  // out of deadline budget
+    } else if (retry.enabled() && failure.IsRetryable()) {
+      retry_exhausted_.Increment();  // out of attempts
+    }
+  }
+  if (stage == Stage::kPlan) {
+    RecordPlanOutcome(*req, result.status(), /*final_attempt=*/true);
+  }
+  const std::string shed_reason =
+      stage == Stage::kShed ? result.status().reason() : std::string();
+  Finish(*req, std::move(result), shed_reason);
+}
+
+void PlanService::Degrade(const RequestPtr& req, const char* reason) {
+  auto result = shed_planner_->Plan(req->request.query, core::PlanRequestOptions{});
+  if (result.ok()) result->fallback_reason = std::string("shed: ") + reason;
+  Finish(*req, std::move(result), reason);
+}
+
+void PlanService::RecordPlanOutcome(Request& req, const Status& outcome,
+                                    bool final_attempt) {
+  // Cancellation is caller-driven, not model health: a cancelled outcome
+  // neither trips nor recovers the breaker, but a probe gives its slot
+  // back.
+  if (outcome.reason() == "cancelled") {
+    if (final_attempt) AbandonProbe(req);
+    return;
+  }
+  health_->RecordObserved(shard_key_, outcome);
+  // Intermediate (retried) attempts count as plain samples; only the final
+  // outcome settles a probe admission.
+  health_->Record(tenant_id_, outcome, final_attempt && req.probe);
+}
+
+void PlanService::AbandonProbe(Request& req) {
+  if (!req.probe) return;
+  req.probe = false;
+  health_->AbandonProbe(tenant_id_);
+}
+
+void PlanService::Finish(Request& req, StatusOr<core::PlanResult> result,
+                         const std::string& shed_reason) {
+  const bool shed = !shed_reason.empty();
+  if (req.planned) latency_ms_.Record(req.planning.ElapsedMillis());
+  if (options_.audit != nullptr) {
+    obs::AuditRecord record;
+    record.query_hash = core::QueryFingerprint(req.request.query);
+    record.backend = planner_name_;
+    record.tenant = tenant_id_;
+    record.outcome = shed ? (result.ok() ? "shed_degraded" : "shed")
+                          : (result.ok() ? "ok" : "error");
+    record.reason = shed ? shed_reason : result.status().reason();
+    if (req.planned) {
+      record.queue_ms = req.queue_ms;
+      record.plan_ms = req.planning.ElapsedMillis();
+    }
+    if (result.ok()) {
+      record.stage = core::PlanStageName(result->stage);
+      if (shed) record.plan_ms = result->plan_ms;
+      record.deadline_hit = result->deadline_hit;
+      record.plans_evaluated = result->plans_evaluated;
+      record.fallback_reason = result->fallback_reason;
+    } else if (!shed) {
+      record.fallback_reason = result.status().ToString();
+    }
+    options_.audit->Append(record);
+  }
+  if (shed) {
+    if (result.ok()) shed_degraded_.fetch_add(1, std::memory_order_release);
+    shed_.Increment();
+  } else if (result.ok()) {
+    if (result->deadline_hit) deadline_hits_.Increment();
+    completed_.fetch_add(1, std::memory_order_release);
+  } else {
+    if (result.status().IsDeadlineExceeded()) deadline_errors_.Increment();
+    errors_.fetch_add(1, std::memory_order_release);
+  }
+  if (result.ok() && req.retries > 0) retry_successes_.Increment();
   req.promise.set_value(std::move(result));
+  // Last touch of the core: once outstanding_ reaches zero, Quiesce may
+  // return and the core may be destroyed.
+  std::lock_guard<std::mutex> lock(outstanding_mu_);
+  if (--outstanding_ == 0) outstanding_cv_.notify_all();
 }
 
 PlanService::Stats PlanService::stats() const {

@@ -68,76 +68,5 @@ int ShardRing::ShardFor(std::string_view tenant_id) const {
   return it->shard;
 }
 
-Status TenantRegistry::Add(TenantSpec spec) {
-  QPS_RETURN_IF_ERROR(ValidateTenantId(spec.tenant_id));
-  if (spec.deps.planner_name != "baseline" && spec.deps.model == nullptr) {
-    return Status::InvalidArgument("tenant '" + spec.tenant_id +
-                                   "': backend '" + spec.deps.planner_name +
-                                   "' requires a model");
-  }
-  if (spec.quota.shed_to_baseline && spec.deps.baseline == nullptr) {
-    return Status::InvalidArgument(
-        "tenant '" + spec.tenant_id +
-        "': shed_to_baseline requires a baseline planner");
-  }
-  // Copy the key out first: the map node's key copy and the value move
-  // from `spec` are unsequenced relative to each other.
-  const std::string id = spec.tenant_id;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = tenants_.emplace(id, std::move(spec));
-  (void)it;
-  if (!inserted) {
-    return Status::AlreadyExists("tenant already registered: " + id);
-  }
-  return Status::OK();
-}
-
-Status TenantRegistry::Remove(const std::string& tenant_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (tenants_.erase(tenant_id) == 0) {
-    return Status::NotFound("no such tenant: " + tenant_id);
-  }
-  return Status::OK();
-}
-
-StatusOr<TenantSpec> TenantRegistry::Get(const std::string& tenant_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tenants_.find(tenant_id);
-  if (it == tenants_.end()) {
-    return Status::NotFound("no such tenant: " + tenant_id);
-  }
-  return it->second;
-}
-
-bool TenantRegistry::Contains(const std::string& tenant_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tenants_.count(tenant_id) > 0;
-}
-
-Status TenantRegistry::UpdateModel(
-    const std::string& tenant_id,
-    std::shared_ptr<const core::QpSeeker> model) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tenants_.find(tenant_id);
-  if (it == tenants_.end()) {
-    return Status::NotFound("no such tenant: " + tenant_id);
-  }
-  it->second.deps.model = std::move(model);
-  return Status::OK();
-}
-
-std::vector<std::string> TenantRegistry::ids() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(tenants_.size());
-  for (const auto& [id, spec] : tenants_) out.push_back(id);
-  return out;
-}
-
-size_t TenantRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tenants_.size();
-}
-
 }  // namespace serve
 }  // namespace qps

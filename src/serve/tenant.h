@@ -2,55 +2,28 @@
 //
 // Tenant metadata for sharded multi-tenant serving. A *tenant* is one
 // (database, model, planner backend, config, quota) workload sharing the
-// process with others; the registry is the control-plane source of truth
-// mapping tenant_id -> TenantSpec, and the shard ring assigns every tenant
-// to a shard deterministically (consistent hashing over virtual nodes, so
-// the assignment depends only on the tenant id and the shard count — never
-// on registration order or process history).
+// process with others. The shard ring assigns every tenant to a shard
+// deterministically (consistent hashing over virtual nodes, so the
+// assignment depends only on the tenant id and the shard count — never on
+// registration order or process history).
 //
-// The data plane lives in sharded_service.h: ShardedPlanService consumes
-// specs from here and builds one PlanService core per tenant on its
-// shard's pool. The registry itself is storage + validation only, so it is
-// unit-testable without models or pools.
+// The service lives in sharded_service.h: ShardedPlanService validates a
+// TenantSpec's id here and builds one PlanService core per tenant
+// (plan_service.h) on its shard's pool, listed in that shard's tenant
+// table.
 
 #ifndef QPS_SERVE_TENANT_H_
 #define QPS_SERVE_TENANT_H_
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "serve/plan_service.h"
+#include "util/status.h"
 
 namespace qps {
 namespace serve {
-
-/// Per-tenant admission quota. The point of the quota is isolation: a hot
-/// tenant exhausts *its* bound and sheds (or degrades), while the shard's
-/// pool keeps serving everyone else.
-struct TenantQuota {
-  /// Max admitted-but-unstarted requests for this tenant (the PlanService
-  /// max_queue of its core).
-  size_t max_pending = 16;
-
-  /// Shed policy past the quota: false rejects with kResourceExhausted;
-  /// true degrades to an inline DP plan on the submitting thread (requires
-  /// deps.baseline).
-  bool shed_to_baseline = false;
-};
-
-/// Everything needed to serve one tenant: identity, planning deps (model,
-/// backend, baseline, guard config — see PlanServiceDeps), and quota. The
-/// database binding is implicit in the deps: the model, baseline planner,
-/// and guard options are all constructed over the tenant's database.
-struct TenantSpec {
-  std::string tenant_id;
-  PlanServiceDeps deps;
-  TenantQuota quota;
-};
 
 /// Tenant ids become metric-name segments (qps.tenant.requests.<id>) and
 /// audit fields, so they are restricted to the metric-name alphabet:
@@ -81,30 +54,6 @@ class ShardRing {
   };
   int num_shards_;
   std::vector<Point> points_;  ///< sorted by hash
-};
-
-/// Thread-safe tenant_id -> TenantSpec table. Add validates the id and
-/// rejects duplicates (kAlreadyExists); Remove/Get return kNotFound for
-/// unknown ids. Specs are returned by value: the registry can be mutated
-/// concurrently without invalidating readers.
-class TenantRegistry {
- public:
-  Status Add(TenantSpec spec);
-  Status Remove(const std::string& tenant_id);
-  StatusOr<TenantSpec> Get(const std::string& tenant_id) const;
-  bool Contains(const std::string& tenant_id) const;
-
-  /// Repoints the spec's model (after a validated hot swap), so later Get
-  /// calls see what is actually serving.
-  Status UpdateModel(const std::string& tenant_id,
-                     std::shared_ptr<const core::QpSeeker> model);
-
-  std::vector<std::string> ids() const;  ///< sorted
-  size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, TenantSpec> tenants_;
 };
 
 }  // namespace serve

@@ -3,7 +3,10 @@
 // Fixed-size worker pool for the inference hot path. Planning-time work
 // (leaf-parallel MCTS evaluation, batched encoder feature assembly) is
 // CPU-bound and latency-sensitive, so the pool is deliberately simple: N
-// long-lived workers, one locked FIFO queue, no work stealing. ParallelFor
+// long-lived workers, one locked FIFO queue, no work stealing. Delayed
+// tasks (ScheduleAfter) wait in a due-time-ordered side table that the
+// idle workers watch with wait_until; a due entry joins the back of the
+// FIFO, so no thread ever sleeps on behalf of a task. ParallelFor
 // statically describes the loop and dynamically chunks it across the
 // workers *plus the calling thread*, so a pool is never slower than the
 // serial loop by more than the dispatch cost (~a few µs per call).
@@ -23,8 +26,10 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <chrono>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -55,6 +60,13 @@ class ThreadPool {
   /// Schedule's never-drop semantics.
   bool TrySchedule(std::function<void()> fn, size_t max_queued);
 
+  /// Enqueues `fn` once `delay_ms` has elapsed. Until then the entry holds
+  /// no worker and does not count in queue_depth(); idle workers wait
+  /// until the earliest due entry. Destruction runs every pending entry at
+  /// once, never drops one. With no workers `fn` runs inline immediately:
+  /// a pool without threads has no one to wait for the due time.
+  void ScheduleAfter(double delay_ms, std::function<void()> fn);
+
   /// Tasks enqueued but not yet claimed by a worker (admission gauge).
   size_t queue_depth() const;
 
@@ -64,11 +76,17 @@ class ThreadPool {
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& body);
 
  private:
+  using SteadyTime = std::chrono::steady_clock::time_point;
+
   void WorkerLoop();
+  /// Moves every delayed entry due at `now` to the back of queue_.
+  void PromoteDueLocked(SteadyTime now);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
+  /// ScheduleAfter entries by due time; equal times keep insertion order.
+  std::multimap<SteadyTime, std::function<void()>> delayed_;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };

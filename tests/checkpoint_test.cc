@@ -1,8 +1,8 @@
 // Copyright 2026 The QPSeeker Authors
 //
 // Durable-checkpoint contract tests: v2 save/load round-trips bit for bit
-// (property-tested over random shapes and names), v1 files stay readable,
-// every corruption class yields a clean error naming the failure, saves
+// (property-tested over random shapes and names), every corruption class
+// (the retired v1 magic included) yields a clean error naming the failure, saves
 // refuse to clobber non-checkpoint files, a torn write (fault-injected
 // crash mid-save) always leaves the previous checkpoint loadable, and a
 // resumed training run continues its loss curve exactly.
@@ -126,19 +126,6 @@ TEST(CheckpointTest, RoundTripPropertyOverRandomShapesAndNames) {
   }
 }
 
-TEST(CheckpointTest, V1FilesStillLoad) {
-  const std::string path = TempPath("legacy_v1.ckpt");
-  std::remove(path.c_str());
-  RandomModule saved(7, /*reinit_values=*/true);
-  ASSERT_TRUE(SaveModuleV1(saved, path).ok());
-  EXPECT_TRUE(LooksLikeCheckpoint(path));
-
-  RandomModule loaded(7, /*reinit_values=*/false);
-  Status st = LoadModule(&loaded, path);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_TRUE(ModulesBitIdentical(saved, loaded));
-}
-
 TEST(CheckpointTest, CorruptedByteFailsChecksumWithCleanError) {
   const std::string path = TempPath("corrupt.ckpt");
   std::remove(path.c_str());
@@ -152,22 +139,32 @@ TEST(CheckpointTest, CorruptedByteFailsChecksumWithCleanError) {
   Status st = LoadModule(&loaded, path);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("checksum"), std::string::npos) << st.ToString();
+
+  // The retired v1 magic (0x51505301, "QPS\1") in place of v2's is just a
+  // bad magic. The magic is little-endian: the version is its first byte.
+  ASSERT_TRUE(SaveModule(saved, path).ok());
+  bytes = ReadAll(path);
+  ASSERT_EQ(bytes[0], '\x02');
+  bytes[0] = '\x01';
+  WriteAll(path, bytes);
+  EXPECT_FALSE(LooksLikeCheckpoint(path));
+  st = LoadModule(&loaded, path);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("bad magic"), std::string::npos) << st.ToString();
 }
 
-TEST(CheckpointTest, TrailingGarbageRejectedOnBothFormats) {
-  for (const bool v1 : {false, true}) {
-    const std::string path = TempPath(v1 ? "trail1.ckpt" : "trail2.ckpt");
-    std::remove(path.c_str());
-    RandomModule saved(9, true);
-    ASSERT_TRUE((v1 ? SaveModuleV1(saved, path) : SaveModule(saved, path)).ok());
-    std::string bytes = ReadAll(path);
-    bytes += "junk";
-    WriteAll(path, bytes);
+TEST(CheckpointTest, TrailingGarbageRejected) {
+  const std::string path = TempPath("trail2.ckpt");
+  std::remove(path.c_str());
+  RandomModule saved(9, true);
+  ASSERT_TRUE(SaveModule(saved, path).ok());
+  std::string bytes = ReadAll(path);
+  bytes += "junk";
+  WriteAll(path, bytes);
 
-    RandomModule loaded(9, false);
-    Status st = LoadModule(&loaded, path);
-    ASSERT_FALSE(st.ok()) << (v1 ? "v1" : "v2");
-  }
+  RandomModule loaded(9, false);
+  Status st = LoadModule(&loaded, path);
+  ASSERT_FALSE(st.ok());
 }
 
 TEST(CheckpointTest, TruncationRejected) {
@@ -518,8 +515,7 @@ TEST_F(ResumeTrainingTest, SaveEmbedsNormalizerInOneFile) {
   auto model = MakeModel();
   model.Train(*dataset_, topts);
   ASSERT_TRUE(model.Save(path).ok());
-  // No sidecar required: a fresh instance loads everything from `path`.
-  std::remove((path + ".norm").c_str());
+  // A fresh instance loads everything from `path`.
   auto loaded = MakeModel();
   ASSERT_TRUE(loaded.Load(path).ok());
   for (int i = 0; i < 3; ++i) {

@@ -3,7 +3,7 @@
 // Validated hot-reload tests: a good checkpoint passes the canary gate and
 // swaps atomically; corrupt checkpoints, q-error regressions, and failing
 // swap hooks are rejected with the live model untouched and the failure
-// counted; and (the TSan target) reloads racing concurrent PlanService
+// counted; and (the TSan target) reloads racing concurrent serving
 // traffic never produce a torn model or a failed request.
 
 #include <gtest/gtest.h>
@@ -21,7 +21,7 @@
 #include "core/qpseeker.h"
 #include "query/parser.h"
 #include "serve/model_manager.h"
-#include "serve/plan_service.h"
+#include "one_tenant.h"
 #include "storage/schemas.h"
 #include "util/metrics.h"
 
@@ -318,18 +318,16 @@ core::GuardedOptions Gopts() {
 }
 
 TEST_F(ModelManagerTest, HotReloadUnderConcurrentTraffic) {
-  PlanServiceOptions sopts;
-  sopts.workers = 4;
-  sopts.max_queue = 256;
+  ShardedPlanServiceOptions sopts;
+  sopts.workers_per_shard = 4;
   PlanServiceDeps deps;
   deps.planner_name = "guarded";
   deps.model = std::shared_ptr<const core::QpSeeker>(
       std::shared_ptr<const core::QpSeeker>(), model_);
   deps.baseline = baseline_;
   deps.guard_options = Gopts();
-  auto service_or = PlanService::Create(std::move(deps), sopts);
-  ASSERT_TRUE(service_or.ok()) << service_or.status().ToString();
-  auto service = std::move(*service_or);
+  auto service = OneTenant::Make(std::move(deps), sopts, {256, false});
+  ASSERT_NE(service, nullptr);
 
   ModelManager manager(SharedLive(), Factory());
   ASSERT_TRUE(manager.SetCanaries(Canaries()).ok());

@@ -20,8 +20,8 @@
 
 #include "core/planner_backends.h"
 #include "core/qpseeker.h"
+#include "one_tenant.h"
 #include "query/parser.h"
-#include "serve/plan_service.h"
 #include "storage/schemas.h"
 #include "util/clock.h"
 #include "util/fault.h"
@@ -106,11 +106,10 @@ class PlanServiceTest : public ::testing::Test {
     return deps;
   }
 
-  static std::unique_ptr<PlanService> MakeService(const std::string& backend,
-                                                  PlanServiceOptions opts) {
-    auto service = PlanService::Create(Deps(backend), opts);
-    EXPECT_TRUE(service.ok()) << service.status().ToString();
-    return std::move(service).value();
+  static std::unique_ptr<OneTenant> MakeService(
+      const std::string& backend, ShardedPlanServiceOptions opts,
+      TenantQuota quota = {32, false}) {
+    return OneTenant::Make(Deps(backend), std::move(opts), quota);
   }
 
   /// PlanRequest shorthand for the common (query, seed) submissions.
@@ -133,8 +132,8 @@ optimizer::Planner* PlanServiceTest::baseline_ = nullptr;
 core::QpSeeker* PlanServiceTest::model_ = nullptr;
 
 TEST_F(PlanServiceTest, ConcurrentSubmitsAllCompleteWithValidPlans) {
-  PlanServiceOptions opts;
-  opts.workers = 4;
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 4;
   auto service = MakeService("neural", opts);
 
   constexpr int kRequests = 16;
@@ -191,8 +190,8 @@ TEST_F(PlanServiceTest, ConcurrentPlansAreBitIdenticalToSerialPlanning) {
   // Concurrent run: same (query, seed) pairs submitted at once on 4
   // workers; their model evaluations fuse in the rendezvous with whatever
   // else is in flight. The plans must not change in any bit.
-  PlanServiceOptions opts;
-  opts.workers = 4;
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 4;
   auto service = MakeService("neural", opts);
   std::vector<std::future<StatusOr<core::PlanResult>>> futures;
   for (int i = 0; i < kRequests; ++i) {
@@ -215,8 +214,8 @@ TEST_F(PlanServiceTest, ConcurrentPlansAreBitIdenticalToSerialPlanning) {
 }
 
 TEST_F(PlanServiceTest, ExpiredDeadlineReturnsBestSoFarPlan) {
-  PlanServiceOptions opts;
-  opts.workers = 2;
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 2;
   auto service = MakeService("neural", opts);
 
   constexpr int kRequests = 6;
@@ -242,8 +241,8 @@ TEST_F(PlanServiceTest, ExpiredDeadlineReturnsBestSoFarPlan) {
 }
 
 TEST_F(PlanServiceTest, DefaultDeadlineFromOptionsApplies) {
-  PlanServiceOptions opts;
-  opts.workers = 1;
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 1;
   opts.default_deadline_ms = 1e-3;
   auto service = MakeService("neural", opts);
   auto result = service->Submit(Req(ThreeWay())).get();
@@ -252,8 +251,8 @@ TEST_F(PlanServiceTest, DefaultDeadlineFromOptionsApplies) {
 }
 
 TEST_F(PlanServiceTest, FailOnDeadlinePropagatesDeadlineExceeded) {
-  PlanServiceOptions opts;
-  opts.workers = 1;
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 1;
   auto service = MakeService("neural", opts);
   PlanRequest request = Req(ThreeWay());
   request.deadline_ms = 1e-3;
@@ -266,10 +265,11 @@ TEST_F(PlanServiceTest, FailOnDeadlinePropagatesDeadlineExceeded) {
 }
 
 TEST_F(PlanServiceTest, FullQueueShedsWithResourceExhausted) {
-  PlanServiceOptions opts;
-  opts.workers = 1;
-  opts.max_queue = 1;  // one request may wait behind the running one
-  auto service = MakeService("neural", opts);
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 1;
+  TenantQuota quota;
+  quota.max_pending = 1;  // one request may wait behind the running one
+  auto service = MakeService("neural", opts, quota);
 
   // Stall the first request's opening rollout so it occupies the worker
   // while the rest arrive.
@@ -306,11 +306,12 @@ TEST_F(PlanServiceTest, FullQueueShedsWithResourceExhausted) {
 }
 
 TEST_F(PlanServiceTest, ShedToBaselineDegradesInsteadOfRejecting) {
-  PlanServiceOptions opts;
-  opts.workers = 1;
-  opts.max_queue = 1;
-  opts.shed_to_baseline = true;
-  auto service = MakeService("neural", opts);
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 1;
+  TenantQuota quota;
+  quota.max_pending = 1;
+  quota.shed_to_baseline = true;
+  auto service = MakeService("neural", opts, quota);
 
   fault::FaultSpec stall;
   stall.code = StatusCode::kOk;
@@ -341,8 +342,8 @@ TEST_F(PlanServiceTest, ShedToBaselineDegradesInsteadOfRejecting) {
 }
 
 TEST_F(PlanServiceTest, GuardStatsCountEveryRequestAcrossWorkers) {
-  PlanServiceOptions opts;
-  opts.workers = 4;
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 4;
   auto service = MakeService("guarded", opts);
 
   constexpr int kRequests = 8;
@@ -369,10 +370,9 @@ TEST_F(PlanServiceTest, WorkerLaddersShareOneBreaker) {
   ManualClock clock;
   PlanServiceDeps deps = Deps("guarded");
   deps.guard_options.clock = &clock;
-  PlanServiceOptions opts;
-  opts.workers = 4;
-  opts.tenant_id = "acme";
-  auto service = PlanService::Create(std::move(deps), opts).value();
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 4;
+  auto service = OneTenant::Make(std::move(deps), opts, {32, false}, "acme");
 
   fault::FaultSpec spec;
   spec.code = StatusCode::kInternal;
@@ -420,9 +420,9 @@ TEST_F(PlanServiceTest, SwapModelStartsTheBreakerClosed) {
   ManualClock clock;
   PlanServiceDeps deps = Deps("guarded");
   deps.guard_options.clock = &clock;
-  PlanServiceOptions opts;
-  opts.workers = 2;
-  auto service = PlanService::Create(std::move(deps), opts).value();
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 2;
+  auto service = OneTenant::Make(std::move(deps), opts);
 
   fault::FaultSpec spec;
   spec.code = StatusCode::kInternal;
@@ -448,17 +448,22 @@ TEST_F(PlanServiceTest, SwapModelStartsTheBreakerClosed) {
 }
 
 TEST_F(PlanServiceTest, CreateRejectsUnknownBackendAndBadShedConfig) {
-  auto unknown = PlanService::Create(Deps("quantum"), {});
+  auto sharded = ShardedPlanService::Create({}).value();
+  TenantSpec unknown_spec;
+  unknown_spec.tenant_id = "unknown";
+  unknown_spec.deps = Deps("quantum");
+  auto unknown = sharded->AddTenant(std::move(unknown_spec));
   ASSERT_FALSE(unknown.ok());
-  EXPECT_TRUE(unknown.status().code() == StatusCode::kInvalidArgument);
+  EXPECT_TRUE(unknown.code() == StatusCode::kInvalidArgument);
 
-  PlanServiceOptions opts;
-  opts.shed_to_baseline = true;
-  PlanServiceDeps no_baseline_deps = Deps("neural");
-  no_baseline_deps.baseline = nullptr;
-  auto no_baseline = PlanService::Create(std::move(no_baseline_deps), opts);
+  TenantSpec no_baseline_spec;
+  no_baseline_spec.tenant_id = "no_baseline";
+  no_baseline_spec.quota.shed_to_baseline = true;
+  no_baseline_spec.deps = Deps("neural");
+  no_baseline_spec.deps.baseline = nullptr;
+  auto no_baseline = sharded->AddTenant(std::move(no_baseline_spec));
   ASSERT_FALSE(no_baseline.ok());
-  EXPECT_TRUE(no_baseline.status().code() == StatusCode::kInvalidArgument);
+  EXPECT_TRUE(no_baseline.code() == StatusCode::kInvalidArgument);
 }
 
 TEST_F(PlanServiceTest, RendezvousFusesConcurrentEvaluations) {
@@ -515,23 +520,13 @@ TEST_F(PlanServiceTest, RendezvousFusesConcurrentEvaluations) {
   }
 }
 
-TEST_F(PlanServiceTest, ZeroWorkersPlansInlineOnTheCaller) {
-  PlanServiceOptions opts;
-  opts.workers = 0;
-  auto service = MakeService("neural", opts);
-  auto result = service->Submit(Req(ThreeWay())).get();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->used_neural);
-  EXPECT_EQ(service->stats().completed, 1);
-}
-
 // stats() must hand back a sane snapshot while SwapModel retires
 // generations, whose rendezvous all record into the service's one set of
 // batching counters. Under TSan this also shakes out any unlocked access
 // on the swap path itself.
 TEST_F(PlanServiceTest, StatsSnapshotStaysCoherentAcrossSwapModel) {
-  PlanServiceOptions opts;
-  opts.workers = 2;
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 2;
   opts.max_batch = 4;
   auto service = MakeService("neural", opts);
 
@@ -579,8 +574,8 @@ TEST_F(PlanServiceTest, StatsSnapshotStaysCoherentAcrossSwapModel) {
 // request make every model evaluation its own flush, so an unswapped
 // service planning the same (query, seed) gives the expected count.
 TEST_F(PlanServiceTest, SwapModelCountsInFlightFlushesExactlyOnce) {
-  PlanServiceOptions opts;
-  opts.workers = 1;
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 1;
   int64_t expected_flushes = 0;
   {
     auto reference = MakeService("neural", opts);

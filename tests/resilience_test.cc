@@ -3,12 +3,13 @@
 // Self-healing serving tests: the HealthMonitor breaker state machine
 // under a ManualClock (trip, quarantine, half-open probing, recovery,
 // re-quarantine), deterministic deadline-budgeted retries (a fixed seed
-// yields a byte-identical plan even when the first attempt was faulted),
-// quarantine fast-fail vs inline degrade, and cooperative cancellation
-// through the serving stack.
+// yields a byte-identical plan even when the first attempt was faulted,
+// and a retry's backoff holds no worker), quarantine fast-fail vs inline
+// degrade, and cooperative cancellation through the serving stack.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -18,6 +19,7 @@
 #include "core/health.h"
 #include "core/planner_backends.h"
 #include "core/qpseeker.h"
+#include "one_tenant.h"
 #include "query/parser.h"
 #include "serve/retry.h"
 #include "serve/sharded_service.h"
@@ -338,28 +340,28 @@ TEST_F(ResilienceTest, RetriedPlanIsByteIdenticalToUnfaultedPlan) {
   // Reference: no faults, one shot.
   std::string reference;
   {
-    PlanServiceOptions opts;
-    opts.workers = 1;
-    auto service = PlanService::Create(Deps("neural"), opts).value();
+    ShardedPlanServiceOptions opts;
+    opts.workers_per_shard = 1;
+    auto service = OneTenant::Make(Deps("neural"), opts);
     auto result = service->Submit(Req(query, kSeed)).get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     reference = result->plan->ToString(*db_, query);
   }
 
   // Chaos run: the first planning attempt dies on an injected transient;
-  // the worker-side retry replans with the same seed and must reproduce
-  // the reference plan bit for bit.
+  // the retry replans with the same seed and must reproduce the reference
+  // plan bit for bit.
   fault::FaultSpec spec;
   spec.code = StatusCode::kIOError;
   spec.message = "injected transient";
   spec.trigger_on_hit = 1;
   fault::FaultInjector::Global().Arm("mcts.rollout", spec);
 
-  PlanServiceOptions opts;
-  opts.workers = 1;
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 1;
   opts.retry.max_retries = 2;
   opts.retry.backoff_base_ms = 0.1;  // keep the test fast
-  auto service = PlanService::Create(Deps("neural"), opts).value();
+  auto service = OneTenant::Make(Deps("neural"), opts);
   auto result = service->Submit(Req(query, kSeed)).get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->plan->ToString(*db_, query), reference);
@@ -380,11 +382,11 @@ TEST_F(ResilienceTest, RetriesExhaustOnStickyFaults) {
   spec.sticky = true;
   fault::FaultInjector::Global().Arm("mcts.rollout", spec);
 
-  PlanServiceOptions opts;
-  opts.workers = 1;
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 1;
   opts.retry.max_retries = 1;
   opts.retry.backoff_base_ms = 0.1;
-  auto service = PlanService::Create(Deps("neural"), opts).value();
+  auto service = OneTenant::Make(Deps("neural"), opts);
   auto result = service->Submit(Req(ThreeWay(), 9)).get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIOError);
@@ -397,6 +399,44 @@ TEST_F(ResilienceTest, RetriesExhaustOnStickyFaults) {
   EXPECT_EQ(stats.errors, 1);
 }
 
+// A retry waits on the shard pool's delayed queue, not on a worker: on a
+// one-worker shard, a second tenant's request is served while the first
+// tenant's request waits out its backoff.
+TEST_F(ResilienceTest, RetryBackoffDoesNotHoldTheWorker) {
+  ShardedPlanServiceOptions opts;
+  opts.shards = 1;
+  opts.workers_per_shard = 1;
+  opts.retry.max_retries = 1;
+  opts.retry.backoff_base_ms = 200.0;
+  opts.retry.jitter_frac = 0.0;
+  auto service = ShardedPlanService::Create(opts).value();
+  ASSERT_TRUE(service->AddTenant(Spec("backing_off", "neural")).ok());
+  ASSERT_TRUE(service->AddTenant(Spec("bystander", "neural")).ok());
+
+  fault::FaultSpec spec;
+  spec.code = StatusCode::kIOError;
+  spec.trigger_on_hit = 1;
+  spec.only_context = "backing_off";
+  fault::FaultInjector::Global().Arm("mcts.rollout", spec);
+
+  PlanRequest first = Req(ThreeWay(), 7);
+  first.tenant_id = "backing_off";
+  auto backing_off = service->Submit(std::move(first));
+  while (fault::FaultInjector::Global().Triggers("mcts.rollout") == 0) {
+    std::this_thread::yield();
+  }
+  PlanRequest second = Req(ThreeWay(), 8);
+  second.tenant_id = "bystander";
+  auto bystander = service->Submit(std::move(second)).get();
+  ASSERT_TRUE(bystander.ok()) << bystander.status().ToString();
+  EXPECT_EQ(backing_off.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the bystander waited behind the retry's backoff";
+  auto retried = backing_off.get();
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(service->TenantStats("backing_off")->retry_successes, 1);
+}
+
 TEST_F(ResilienceTest, TerminalFailuresAreNotRetried) {
   fault::FaultSpec spec;
   spec.code = StatusCode::kInvalidArgument;  // terminal
@@ -404,10 +444,10 @@ TEST_F(ResilienceTest, TerminalFailuresAreNotRetried) {
   spec.sticky = true;
   fault::FaultInjector::Global().Arm("serve.submit", spec);
 
-  PlanServiceOptions opts;
-  opts.workers = 1;
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 1;
   opts.retry.max_retries = 3;
-  auto service = PlanService::Create(Deps("baseline"), opts).value();
+  auto service = OneTenant::Make(Deps("baseline"), opts);
   auto result = service->Submit(Req(ThreeWay(), 1)).get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
@@ -415,9 +455,9 @@ TEST_F(ResilienceTest, TerminalFailuresAreNotRetried) {
 }
 
 TEST_F(ResilienceTest, CancelledRequestResolvesPromptlyWithAborted) {
-  PlanServiceOptions opts;
-  opts.workers = 1;
-  auto service = PlanService::Create(Deps("neural"), opts).value();
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 1;
+  auto service = OneTenant::Make(Deps("neural"), opts);
 
   // Pre-cancelled: the planner observes the token at its first boundary
   // and the future resolves kAborted without planning.
@@ -431,9 +471,9 @@ TEST_F(ResilienceTest, CancelledRequestResolvesPromptlyWithAborted) {
 }
 
 TEST_F(ResilienceTest, MidFlightCancellationNeverHangs) {
-  PlanServiceOptions opts;
-  opts.workers = 2;
-  auto service = PlanService::Create(Deps("neural"), opts).value();
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 2;
+  auto service = OneTenant::Make(Deps("neural"), opts);
 
   // Race cancellation against planning: every future must resolve, each
   // to a plan (cancel lost the race) or kAborted (cancel won) — never a
@@ -538,7 +578,7 @@ TEST_F(ResilienceTest, QuarantinedTenantDegradesWhenQuotaAllows) {
   EXPECT_NE(degraded->fallback_reason.find("quarantined"), std::string::npos);
 }
 
-TEST_F(ResilienceTest, CallerSideRetryAbsorbsTransientSubmitFaults) {
+TEST_F(ResilienceTest, AdmissionRetryAbsorbsTransientSubmitFaults) {
   ShardedPlanServiceOptions opts;
   opts.shards = 1;
   opts.workers_per_shard = 2;
@@ -547,7 +587,7 @@ TEST_F(ResilienceTest, CallerSideRetryAbsorbsTransientSubmitFaults) {
   auto service = ShardedPlanService::Create(opts).value();
   ASSERT_TRUE(service->AddTenant(Spec("flaky")).ok());
 
-  // One transient failure at serve.submit; the caller-side loop resubmits.
+  // One transient failure at serve.submit; the retry re-admits.
   fault::FaultSpec spec;
   spec.code = StatusCode::kUnavailable;
   spec.trigger_on_hit = 1;
@@ -561,7 +601,7 @@ TEST_F(ResilienceTest, CallerSideRetryAbsorbsTransientSubmitFaults) {
   EXPECT_EQ(fault::FaultInjector::Global().Triggers("serve.submit"), 1);
 }
 
-TEST_F(ResilienceTest, CallerSideRetryExhaustionIsCounted) {
+TEST_F(ResilienceTest, AdmissionRetryExhaustionIsCounted) {
   ShardedPlanServiceOptions opts;
   opts.shards = 1;
   opts.workers_per_shard = 2;
@@ -570,9 +610,9 @@ TEST_F(ResilienceTest, CallerSideRetryExhaustionIsCounted) {
   auto service = ShardedPlanService::Create(opts).value();
   ASSERT_TRUE(service->AddTenant(Spec("stuck")).ok());
 
-  // serve.submit fails every attempt: the caller-side loop retries twice,
-  // then runs out of attempts — which counts as exhaustion, exactly as the
-  // worker-side loop counts it.
+  // serve.submit fails every attempt: admission is retried twice, then
+  // runs out of attempts — which counts as exhaustion, exactly as a
+  // planning retry counts it.
   fault::FaultSpec spec;
   spec.code = StatusCode::kUnavailable;
   spec.trigger_on_hit = 1;

@@ -3,7 +3,11 @@
 #include "util/threadpool.h"
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -138,6 +142,71 @@ TEST(ThreadPoolTest, NestedUseFromScheduledTask) {
   });
   while (!finished.load()) std::this_thread::yield();
   EXPECT_EQ(total.load(), 100);
+}
+
+TEST(ThreadPoolTest, ScheduleAfterHoldsNoWorkerWhileWaiting) {
+  // One worker: a delayed entry must leave it free for immediate work, and
+  // run only once its delay has passed.
+  ThreadPool pool(1);
+  const auto start = std::chrono::steady_clock::now();
+  std::promise<double> delayed_ms;
+  pool.ScheduleAfter(150.0, [&] {
+    delayed_ms.set_value(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+  });
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  std::promise<void> immediate;
+  pool.Schedule([&] { immediate.set_value(); });
+  auto delayed = delayed_ms.get_future();
+  immediate.get_future().get();
+  EXPECT_EQ(delayed.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the delayed entry ran before the immediate one";
+  EXPECT_GE(delayed.get(), 150.0);
+}
+
+TEST(ThreadPoolTest, ScheduleAfterRunsInDueOrder) {
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::vector<int> order;
+  std::promise<void> last;
+  pool.ScheduleAfter(60.0, [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(2);
+    last.set_value();
+  });
+  pool.ScheduleAfter(20.0, [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(1);
+  });
+  last.get_future().get();
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(ThreadPoolTest, DestructionRunsPendingDelayedEntries) {
+  std::atomic<int> ran{0};
+  const auto start = std::chrono::steady_clock::now();
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 3; ++i) {
+      pool.ScheduleAfter(60000.0, [&] { ran.fetch_add(1); });
+    }
+  }
+  // Run, not dropped, and not waited out either.
+  EXPECT_EQ(ran.load(), 3);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            30.0);
+}
+
+TEST(ThreadPoolTest, ScheduleAfterWithoutWorkersRunsInline) {
+  ThreadPool pool(0);
+  int ran = 0;
+  pool.ScheduleAfter(60000.0, [&] { ran += 1; });
+  EXPECT_EQ(ran, 1);
 }
 
 }  // namespace
