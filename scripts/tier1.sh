@@ -13,6 +13,15 @@ echo "== tier-1: metric-name lint =="
 echo "== tier-1: mutable-member lint =="
 ./scripts/check_mutable_members.sh
 
+echo "== tier-1: no-sleep lint (src/serve) =="
+# A retry's backoff is a delayed re-enqueue on the shard pool
+# (ThreadPool::ScheduleAfter), never a sleeping thread: a sleep in the
+# serving layer blocks a caller or holds a worker of a shard.
+if grep -rn "sleep_for\|sleep_until\|usleep\|nanosleep" src/serve; then
+  echo "error: src/serve must not sleep; re-enqueue with ScheduleAfter" >&2
+  exit 1
+fi
+
 echo "== tier-1: release build + full ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j
@@ -25,14 +34,14 @@ echo "== tier-1: forced-scalar int8 kernel leg (QPS_FORCE_SCALAR=1) =="
 (cd build && QPS_FORCE_SCALAR=1 ctest --output-on-failure \
   -R "quant_test|nn_test|model_manager_test|checkpoint_test")
 
-echo "== tier-1: TSan build (threadpool + hot-path + ladder + serving + obs + fuzz-replay + storage tests) =="
+echo "== tier-1: TSan build (threadpool + hot-path + ladder + serving + golden plans + obs + fuzz-replay + storage tests) =="
 cmake -B build-tsan -S . -DQPS_SANITIZE=THREAD >/dev/null
 cmake --build build-tsan -j --target threadpool_test hotpath_test \
   planner_conformance_test guarded_planner_test plan_service_test \
-  model_manager_test tenant_test resilience_test planner_fuzz_test obs_test \
-  storage_test
+  model_manager_test tenant_test resilience_test serve_golden_test \
+  planner_fuzz_test obs_test storage_test
 (cd build-tsan && ctest --output-on-failure \
-  -R "threadpool_test|hotpath_test|planner_conformance_test|guarded_planner_test|plan_service_test|model_manager_test|tenant_test|resilience_test|planner_fuzz_test|obs_test|storage_test")
+  -R "threadpool_test|hotpath_test|planner_conformance_test|guarded_planner_test|plan_service_test|model_manager_test|tenant_test|resilience_test|serve_golden_test|planner_fuzz_test|obs_test|storage_test")
 
 echo "== tier-1: ASan checkpoint-loader fuzz (10k fixed-seed inputs) =="
 cmake -B build-asan -S . -DQPS_SANITIZE=ON >/dev/null
@@ -45,9 +54,10 @@ echo "== tier-1: ASan chaos smoke (serve tests with fault points armed) =="
 # stalls, NaN corruption) on the serve path; this leg re-runs them under
 # ASan so cancellation and retry paths leak nothing when attempts die
 # mid-plan.
-cmake --build build-asan -j --target resilience_test plan_service_test
+cmake --build build-asan -j --target resilience_test plan_service_test \
+  serve_golden_test
 (cd build-asan && ctest --output-on-failure \
-  -R "resilience_test|plan_service_test")
+  -R "resilience_test|plan_service_test|serve_golden_test")
 
 echo "== tier-1: ASan planner fuzz smoke (fixed-seed differential campaign) =="
 cmake --build build-asan -j --target qps_fuzz

@@ -5,10 +5,10 @@
 //   - core::GuardedPlanner gates its neural rung on it, one key per
 //     (tenant, model) ladder ("neural", or "neural_<tenant>"); an open
 //     breaker routes complex queries straight to the DP planner.
-//   - serve::ShardedPlanService keys it per tenant and quarantines a tenant
-//     whose requests keep failing, so doomed work fast-fails (kUnavailable,
-//     reason "quarantined") instead of queueing on the shard pool that
-//     colocated tenants are paying for.
+//   - each serve::PlanService tenant core (sharded_service.h) keys it per
+//     tenant and quarantines a tenant whose requests keep failing, so
+//     doomed work fast-fails (kUnavailable, reason "quarantined") instead
+//     of queueing on the shard pool that colocated tenants are paying for.
 //
 // State machine per key:
 //

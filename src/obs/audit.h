@@ -14,7 +14,7 @@
 // Append() serializes under a mutex and writes line-buffered; an audit
 // line is never torn. Lines appended: qps.obs.audit_records; failed
 // writes: qps.obs.audit_errors (the serving path never throws on a full
-// disk). The log is safe to share across PlanService workers.
+// disk). The log is safe to share across serving workers.
 
 #ifndef QPS_OBS_AUDIT_H_
 #define QPS_OBS_AUDIT_H_
@@ -30,11 +30,11 @@
 namespace qps {
 namespace obs {
 
-/// One served request, as recorded by serve::PlanService.
+/// One served request, as recorded by a serve::PlanService tenant core.
 struct AuditRecord {
   uint64_t query_hash = 0;      ///< core::QueryFingerprint
   std::string backend;          ///< planner backend name
-  std::string tenant;           ///< tenant id ("" in single-tenant serving)
+  std::string tenant;           ///< tenant id
   std::string stage;            ///< ladder stage that served ("" if none)
   std::string outcome;          ///< ok | error | shed | shed_degraded
   bool deadline_hit = false;

@@ -11,10 +11,11 @@
 //        workload registered up front). Any non-finite prediction, or a
 //        mean q-error worse than `max_qerror_ratio` times the live model's
 //        own canary q-error, fails the gate.
-//     -> swap: the swap hook (PlanService::SwapModel) quiesces in-flight
-//        requests and atomically replaces the serving model; the manager's
-//        shared_ptr handoff keeps the old model alive for any reader that
-//        grabbed it just before the swap.
+//     -> swap: the swap hook (ShardedPlanService::SwapTenantModel)
+//        publishes a new model generation without waiting for in-flight
+//        requests, which finish on the generation they started with; the
+//        manager's shared_ptr handoff keeps the old model alive for any
+//        reader that grabbed it just before the swap.
 //     -> rollback: any failure leaves the previous model serving and bumps
 //        qps.model.reload_failures; successes bump qps.model.reloads.
 //
@@ -86,8 +87,9 @@ class ModelManager {
   /// callable with serving traffic.
   Status SetCanaries(std::vector<CanaryCase> canaries);
 
-  /// Installed swap callback, e.g. PlanService::SwapModel: receives the
-  /// validated candidate and must atomically switch serving over to it.
+  /// Installed swap callback, e.g. ShardedPlanService::SwapTenantModel
+  /// bound to one tenant: receives the validated candidate and must
+  /// atomically switch serving over to it.
   /// A failing hook counts as a failed reload (live model keeps serving).
   void SetSwapHook(
       std::function<Status(std::shared_ptr<const core::QpSeeker>)> hook);
