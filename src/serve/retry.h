@@ -7,7 +7,7 @@
 // cancellations, backend defects) are surfaced immediately. Every attempt
 // is budgeted against the request's remaining deadline_ms: a retry that
 // cannot fit its backoff plus a minimum attempt inside the budget is not
-// taken, so retries never extend latency past the contract.
+// taken, so no retry starts once the budget is spent.
 //
 // Determinism: the jitter is a pure function of (request seed, attempt),
 // drawn from a splitmix64 finalizer rather than a shared RNG, so a fixed
