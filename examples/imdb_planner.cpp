@@ -97,8 +97,7 @@ int main() {
     std::printf("\nQPSeeker (MCTS, %d plans):\n%s", mcts->plans_evaluated,
                 mcts->plan->ToString(*db, *q, true).c_str());
     // Which plan nodes did QPAttention weight the most?
-    seeker.PredictPlan(*q, *mcts->plan);
-    const nn::Tensor scores = seeker.LastAttentionScores();
+    const nn::Tensor scores = seeker.AttentionScores(*q, *mcts->plan);
     if (scores.size() > 0) {
       std::printf("QPAttention (head 0) scores over nodes:");
       for (int64_t j = 0; j < scores.cols(); ++j) {

@@ -22,6 +22,16 @@ if grep -rn "sleep_for\|sleep_until\|usleep\|nanosleep" src/serve; then
   exit 1
 fi
 
+echo "== tier-1: no-lock lint (src/nn, src/encoder, src/tabert) =="
+# A const model is shared lock-free across tenants and workers
+# (planner_api.h): a forward keeps its intermediates in locals and returns
+# what a caller asks for, so model code never needs a lock.
+if grep -rnE "std::mutex|shared_mutex|lock_guard|unique_lock|scoped_lock" \
+    src/nn src/encoder src/tabert; then
+  echo "error: model code must not lock; return state to the caller instead" >&2
+  exit 1
+fi
+
 echo "== tier-1: release build + full ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j

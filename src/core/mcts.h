@@ -41,9 +41,10 @@ struct MctsOptions {
 
   /// External evaluator for candidate batches. The serving layer injects
   /// one to coalesce evaluations from different in-flight queries into
-  /// shared batched forwards; null calls QpSeeker::PredictPlansBatch
-  /// directly. Results must be bit-identical to the direct call, so
-  /// planning stays deterministic under cross-query batching.
+  /// shared batched forwards; null calls QpSeeker::PredictPlansBatch, the
+  /// one-request form of the same PredictPlansMulti path. Results must be
+  /// bit-identical to the direct call, so planning stays deterministic
+  /// under cross-query batching.
   BatchEvalFn evaluate;
 
   /// Leaf-parallel rollouts. Each iteration selects, expands, and

@@ -319,41 +319,31 @@ TrainReport QpSeeker::Train(const sampling::QepDataset& dataset,
   return report;
 }
 
-void QpSeeker::EncodeQepTensor(
-    const Query& q, const std::vector<const PlanNode*>& annotated,
-    std::vector<encoder::PlanEncoder::TensorOutput>* plan_outs,
-    nn::Tensor* qep) const {
-  const int64_t batch = static_cast<int64_t>(annotated.size());
-
+void QpSeeker::EncodeQepRows(const Query& q,
+                             const std::vector<const PlanNode*>& annotated,
+                             int64_t first_row, nn::Tensor* qep) const {
   nn::Tensor query_emb;
   query_encoder_->EncodeTensor(q, &query_emb);
-
-  std::vector<encoder::PlanEncoder::TensorOutput> local_outs;
-  auto& outs = plan_outs != nullptr ? *plan_outs : local_outs;
+  std::vector<encoder::PlanEncoder::TensorOutput> outs;
   plan_encoder_->EncodeBatch(q, annotated, normalizer_, &outs);
 
-  // QEP embeddings, one row per plan. Attention contexts differ per plan
-  // (different node counts), so Combine runs per plan; everything after is
-  // one batched GEMM chain.
-  const int qep_dim = attention_->out_dim();
-  *qep = nn::Tensor(batch, qep_dim);
+  // Attention contexts differ per plan (different node counts), so the
+  // combination runs per plan; everything after is one batched GEMM chain.
+  const int64_t qep_dim = attention_->out_dim();
   nn::Tensor one;
-  for (int64_t p = 0; p < batch; ++p) {
+  for (size_t p = 0; p < outs.size(); ++p) {
+    float* row = qep->data() + (first_row + static_cast<int64_t>(p)) * qep_dim;
+    const nn::Tensor& nm = outs[p].node_matrix;
     if (config_.use_attention) {
-      attention_->CombineTensor(query_emb, outs[static_cast<size_t>(p)].node_matrix,
-                                &one);
+      attention_->CombineTensor(query_emb, nm, &one);
+      std::memcpy(row, one.data(), sizeof(float) * static_cast<size_t>(qep_dim));
     } else {
       // Ablation: concatenation of query and plan-root embeddings.
-      if (one.rows() != 1 || one.cols() != qep_dim) one = nn::Tensor(1, qep_dim);
-      const nn::Tensor& nm = outs[static_cast<size_t>(p)].node_matrix;
-      std::memcpy(one.data(), query_emb.data(),
+      std::memcpy(row, query_emb.data(),
                   sizeof(float) * static_cast<size_t>(query_emb.cols()));
-      std::memcpy(one.data() + query_emb.cols(),
-                  nm.data() + (nm.rows() - 1) * nm.cols(),
+      std::memcpy(row + query_emb.cols(), nm.data() + (nm.rows() - 1) * nm.cols(),
                   sizeof(float) * static_cast<size_t>(nm.cols()));
     }
-    std::memcpy(qep->data() + p * qep_dim, one.data(),
-                sizeof(float) * static_cast<size_t>(qep_dim));
   }
 }
 
@@ -370,230 +360,120 @@ nn::Tensor QpSeeker::HeadTensor(const nn::Tensor& qep) const {
   return preds;
 }
 
-nn::Tensor QpSeeker::ForwardBatchTensor(
-    const Query& q, const std::vector<const PlanNode*>& annotated,
-    std::vector<encoder::PlanEncoder::TensorOutput>* plan_outs) const {
-  static metrics::Counter* const forwards_counter =
-      metrics::Registry::Global().GetCounter("qps.model.forwards");
-  QPS_TRACE_SPAN("model.forward");
-  forwards_counter->Increment(static_cast<int64_t>(annotated.size()));
-
-  nn::Tensor qep;
-  EncodeQepTensor(q, annotated, plan_outs, &qep);
-  return HeadTensor(qep);
-}
-
 std::vector<query::NodeStats> QpSeeker::PredictPlansBatch(
     const Query& q, const std::vector<const PlanNode*>& plans,
     util::ThreadPool* pool) const {
-  const size_t n = plans.size();
-  std::vector<query::NodeStats> results(n);
-  if (n == 0) return results;
+  return std::move(PredictPlansMulti({PlanEvalRequest{&q, plans}}, pool)[0]);
+}
 
-  // Cache consultation plus intra-batch dedup, both keyed on the plan
-  // shape hash: MCTS random completions collide regularly, and a repeated
-  // shape within one batch is the same prediction, so only the first
-  // occurrence is evaluated and the rest copy its result.
-  std::vector<uint64_t> shape_hash(n);
-  for (size_t i = 0; i < n; ++i) shape_hash[i] = PlanShapeHash(*plans[i]);
-  const uint64_t query_fp = cache_ != nullptr ? QueryFingerprint(q) : 0;
+std::vector<std::vector<query::NodeStats>> QpSeeker::PredictPlansMulti(
+    const std::vector<PlanEvalRequest>& requests, util::ThreadPool* pool) const {
+  std::vector<std::vector<query::NodeStats>> results(requests.size());
 
-  std::vector<size_t> miss_idx;
-  std::unordered_map<uint64_t, size_t> batch_first;  ///< shape -> first miss
-  std::vector<size_t> dup_src(n, static_cast<size_t>(-1));
-  for (size_t i = 0; i < n; ++i) {
-    if (cache_ != nullptr && cache_->Lookup(query_fp, shape_hash[i], &results[i])) {
-      continue;
+  // Cache consultation plus dedup, both keyed on the plan shape hash: MCTS
+  // random completions collide regularly, and a repeated shape within one
+  // request is the same prediction, so only its first occurrence is
+  // evaluated and the rest copy its result. Dedup stays *within* each
+  // request on purpose: then a request's rows, and so its predictions, do
+  // not depend on what else shares the forward.
+  struct Miss {
+    size_t req;
+    size_t plan;
+    uint64_t shape;
+  };
+  struct Dup {
+    size_t req;
+    size_t plan;
+    size_t first;  ///< the evaluated occurrence of the same shape
+  };
+  std::vector<Miss> misses;  ///< by request, then plan: row f is misses[f]
+  std::vector<Dup> dups;
+  std::vector<uint64_t> query_fp(requests.size(), 0);
+  for (size_t r = 0; r < requests.size(); ++r) {
+    const auto& plans = requests[r].plans;
+    results[r].resize(plans.size());
+    if (cache_ != nullptr) query_fp[r] = QueryFingerprint(*requests[r].query);
+    std::unordered_map<uint64_t, size_t> first;  ///< shape -> first miss
+    for (size_t i = 0; i < plans.size(); ++i) {
+      const uint64_t shape = PlanShapeHash(*plans[i]);
+      if (cache_ != nullptr && cache_->Lookup(query_fp[r], shape, &results[r][i])) {
+        continue;
+      }
+      const auto [it, inserted] = first.try_emplace(shape, i);
+      if (inserted) {
+        misses.push_back(Miss{r, i, shape});
+      } else {
+        dups.push_back(Dup{r, i, it->second});
+      }
     }
-    const auto [it, inserted] = batch_first.try_emplace(shape_hash[i], i);
-    if (!inserted) {
-      dup_src[i] = it->second;
-      continue;
-    }
-    miss_idx.push_back(i);
   }
 
-  if (!miss_idx.empty()) {
+  if (!misses.empty()) {
     // Clone + annotate each miss. Sharded across the pool when given:
     // CostModel::EstimatePlan only reads shared state, and each task writes
     // its own slot, so results are identical at any thread count.
-    std::vector<query::PlanPtr> annotated(miss_idx.size());
+    std::vector<query::PlanPtr> annotated(misses.size());
     {
       QPS_TRACE_SPAN("plan.annotate");
-      const auto annotate = [&](int64_t i) {
-        annotated[static_cast<size_t>(i)] = plans[miss_idx[static_cast<size_t>(i)]]->Clone();
-        AnnotateEstimates(q, annotated[static_cast<size_t>(i)].get());
+      const auto annotate = [&](int64_t f) {
+        const Miss& miss = misses[static_cast<size_t>(f)];
+        auto& plan = annotated[static_cast<size_t>(f)];
+        plan = requests[miss.req].plans[miss.plan]->Clone();
+        AnnotateEstimates(*requests[miss.req].query, plan.get());
       };
-      if (pool != nullptr && miss_idx.size() > 1) {
-        pool->ParallelFor(static_cast<int64_t>(miss_idx.size()), annotate);
+      if (pool != nullptr && misses.size() > 1) {
+        pool->ParallelFor(static_cast<int64_t>(misses.size()), annotate);
       } else {
-        for (size_t i = 0; i < miss_idx.size(); ++i) annotate(static_cast<int64_t>(i));
+        for (size_t f = 0; f < misses.size(); ++f) annotate(static_cast<int64_t>(f));
       }
     }
 
-    std::vector<const PlanNode*> ptrs;
-    ptrs.reserve(annotated.size());
-    for (const auto& p : annotated) ptrs.push_back(p.get());
-    const nn::Tensor preds = ForwardBatchTensor(q, ptrs, nullptr);
+    // Encode per request (encoders are query-specific) into one stacked
+    // matrix, so the dense VAE/head pass is shared across requests — the
+    // cross-query fusion the serving layer batches for.
+    static metrics::Counter* const forwards_counter =
+        metrics::Registry::Global().GetCounter("qps.model.forwards");
+    QPS_TRACE_SPAN("model.forward");
+    forwards_counter->Increment(static_cast<int64_t>(misses.size()));
+    nn::Tensor qep(static_cast<int64_t>(misses.size()), attention_->out_dim());
+    for (size_t begin = 0, end = 0; begin < misses.size(); begin = end) {
+      std::vector<const PlanNode*> ptrs;
+      for (end = begin; end < misses.size() && misses[end].req == misses[begin].req;
+           ++end) {
+        ptrs.push_back(annotated[end].get());
+      }
+      EncodeQepRows(*requests[misses[begin].req].query, ptrs,
+                    static_cast<int64_t>(begin), &qep);
+    }
+    const nn::Tensor preds = HeadTensor(qep);
 
-    for (size_t m = 0; m < miss_idx.size(); ++m) {
-      const size_t i = miss_idx[m];
-      const float a = preds(static_cast<int64_t>(m), 0);
-      const float b = preds(static_cast<int64_t>(m), 1);
-      const float c = preds(static_cast<int64_t>(m), 2);
+    for (size_t f = 0; f < misses.size(); ++f) {
+      const Miss& miss = misses[f];
+      const int64_t row = static_cast<int64_t>(f);
+      const float a = preds(row, 0);
+      const float b = preds(row, 1);
+      const float c = preds(row, 2);
+      query::NodeStats& out = results[miss.req][miss.plan];
       if (!(std::isfinite(a) && std::isfinite(b) && std::isfinite(c))) {
         // Sentinel: a diverged VAE head poisons the whole triple, so callers
         // see one consistent "garbage" signal rather than a partially valid
         // one. Never cached.
         const double bad = std::nan("");
-        results[i] = query::NodeStats{bad, bad, bad};
+        out = query::NodeStats{bad, bad, bad};
         continue;
       }
-      results[i] = normalizer_.Denormalize(a, b, c);
-      if (cache_ != nullptr) cache_->Insert(query_fp, shape_hash[i], results[i]);
+      out = normalizer_.Denormalize(a, b, c);
+      if (cache_ != nullptr) cache_->Insert(query_fp[miss.req], miss.shape, out);
     }
   }
 
-  // Settle intra-batch duplicates from their evaluated first occurrence.
-  for (size_t i = 0; i < n; ++i) {
-    if (dup_src[i] != static_cast<size_t>(-1)) results[i] = results[dup_src[i]];
-  }
+  for (const Dup& dup : dups) results[dup.req][dup.plan] = results[dup.req][dup.first];
 
   // Fault injection happens after cache insert, so a corrupted value is
   // returned to the caller but never stored — hit and miss paths stay
   // behaviorally identical under fault tests.
-  for (size_t i = 0; i < n; ++i) {
-    results[i].runtime_ms = fault::CorruptDouble("vae.forward", results[i].runtime_ms);
-  }
-  return results;
-}
-
-std::vector<std::vector<query::NodeStats>> QpSeeker::PredictPlansMulti(
-    const std::vector<PlanEvalRequest>& requests, util::ThreadPool* pool) const {
-  const size_t nr = requests.size();
-  std::vector<std::vector<query::NodeStats>> results(nr);
-  if (nr == 0) return results;
-
-  // Per-request bookkeeping, mirroring PredictPlansBatch step for step.
-  // Dedup stays *within* each request on purpose: fusing identical shapes
-  // across requests would change which row a request's prediction comes
-  // from relative to its serial evaluation. Cross-request duplicates still
-  // produce bit-identical values (row independence), just redundantly.
-  struct Prep {
-    std::vector<uint64_t> shape_hash;
-    uint64_t query_fp = 0;
-    std::vector<size_t> miss_idx;
-    std::vector<size_t> dup_src;
-    std::vector<query::PlanPtr> annotated;
-  };
-  std::vector<Prep> preps(nr);
-  struct FlatMiss {
-    size_t req;
-    size_t m;  ///< index into preps[req].miss_idx
-  };
-  std::vector<FlatMiss> flat;
-
-  for (size_t r = 0; r < nr; ++r) {
-    const Query& q = *requests[r].query;
-    const auto& plans = requests[r].plans;
-    const size_t n = plans.size();
-    Prep& prep = preps[r];
-    results[r].resize(n);
-    prep.shape_hash.resize(n);
-    prep.dup_src.assign(n, static_cast<size_t>(-1));
-    for (size_t i = 0; i < n; ++i) prep.shape_hash[i] = PlanShapeHash(*plans[i]);
-    prep.query_fp = cache_ != nullptr ? QueryFingerprint(q) : 0;
-
-    std::unordered_map<uint64_t, size_t> batch_first;
-    for (size_t i = 0; i < n; ++i) {
-      if (cache_ != nullptr &&
-          cache_->Lookup(prep.query_fp, prep.shape_hash[i], &results[r][i])) {
-        continue;
-      }
-      const auto [it, inserted] = batch_first.try_emplace(prep.shape_hash[i], i);
-      if (!inserted) {
-        prep.dup_src[i] = it->second;
-        continue;
-      }
-      flat.push_back(FlatMiss{r, prep.miss_idx.size()});
-      prep.miss_idx.push_back(i);
-    }
-    prep.annotated.resize(prep.miss_idx.size());
-  }
-
-  if (!flat.empty()) {
-    {
-      QPS_TRACE_SPAN("plan.annotate");
-      const auto annotate = [&](int64_t f) {
-        const FlatMiss& fm = flat[static_cast<size_t>(f)];
-        Prep& prep = preps[fm.req];
-        prep.annotated[fm.m] =
-            requests[fm.req].plans[prep.miss_idx[fm.m]]->Clone();
-        AnnotateEstimates(*requests[fm.req].query, prep.annotated[fm.m].get());
-      };
-      if (pool != nullptr && flat.size() > 1) {
-        pool->ParallelFor(static_cast<int64_t>(flat.size()), annotate);
-      } else {
-        for (size_t f = 0; f < flat.size(); ++f) annotate(static_cast<int64_t>(f));
-      }
-    }
-
-    // Encode per request (encoders are query-specific), then stack every
-    // miss row into one matrix so the dense VAE/head pass is shared across
-    // requests — the cross-query fusion the serving layer batches for.
-    static metrics::Counter* const forwards_counter =
-        metrics::Registry::Global().GetCounter("qps.model.forwards");
-    QPS_TRACE_SPAN("model.forward");
-    forwards_counter->Increment(static_cast<int64_t>(flat.size()));
-    const int qep_dim = attention_->out_dim();
-    nn::Tensor combined(static_cast<int64_t>(flat.size()), qep_dim);
-    std::vector<int64_t> row_offset(nr, 0);
-    int64_t row = 0;
-    for (size_t r = 0; r < nr; ++r) {
-      Prep& prep = preps[r];
-      if (prep.annotated.empty()) continue;
-      std::vector<const PlanNode*> ptrs;
-      ptrs.reserve(prep.annotated.size());
-      for (const auto& p : prep.annotated) ptrs.push_back(p.get());
-      nn::Tensor qep;
-      EncodeQepTensor(*requests[r].query, ptrs, nullptr, &qep);
-      std::memcpy(combined.data() + row * qep_dim, qep.data(),
-                  sizeof(float) * static_cast<size_t>(qep.rows() * qep_dim));
-      row_offset[r] = row;
-      row += qep.rows();
-    }
-
-    const nn::Tensor preds = HeadTensor(combined);
-
-    for (size_t r = 0; r < nr; ++r) {
-      Prep& prep = preps[r];
-      for (size_t m = 0; m < prep.miss_idx.size(); ++m) {
-        const size_t i = prep.miss_idx[m];
-        const int64_t pr = row_offset[r] + static_cast<int64_t>(m);
-        const float a = preds(pr, 0);
-        const float b = preds(pr, 1);
-        const float c = preds(pr, 2);
-        if (!(std::isfinite(a) && std::isfinite(b) && std::isfinite(c))) {
-          const double bad = std::nan("");
-          results[r][i] = query::NodeStats{bad, bad, bad};
-          continue;
-        }
-        results[r][i] = normalizer_.Denormalize(a, b, c);
-        if (cache_ != nullptr) {
-          cache_->Insert(prep.query_fp, prep.shape_hash[i], results[r][i]);
-        }
-      }
-    }
-  }
-
-  for (size_t r = 0; r < nr; ++r) {
-    const Prep& prep = preps[r];
-    for (size_t i = 0; i < results[r].size(); ++i) {
-      if (prep.dup_src[i] != static_cast<size_t>(-1)) {
-        results[r][i] = results[r][prep.dup_src[i]];
-      }
-    }
-    for (auto& stats : results[r]) {
+  for (auto& request_results : results) {
+    for (auto& stats : request_results) {
       stats.runtime_ms = fault::CorruptDouble("vae.forward", stats.runtime_ms);
     }
   }
@@ -631,14 +511,18 @@ void QpSeeker::EnableCache(int64_t capacity_bytes) {
   cache_ = std::make_unique<PlanPredictionCache>(capacity_bytes);
 }
 
-std::vector<query::NodeStats> QpSeeker::PredictNodes(const Query& q,
-                                                     const PlanNode& plan) const {
+nn::Tensor QpSeeker::NodeMatrix(const Query& q, const PlanNode& plan) const {
   auto annotated = plan.Clone();
   AnnotateEstimates(q, annotated.get());
   std::vector<encoder::PlanEncoder::TensorOutput> outs;
-  ForwardBatchTensor(q, {annotated.get()}, &outs);
+  plan_encoder_->EncodeBatch(q, {annotated.get()}, normalizer_, &outs);
+  return std::move(outs[0].node_matrix);
+}
+
+std::vector<query::NodeStats> QpSeeker::PredictNodes(const Query& q,
+                                                     const PlanNode& plan) const {
+  const nn::Tensor nm = NodeMatrix(q, plan);
   const int dvec = plan_encoder_->data_vec_dim();
-  const nn::Tensor& nm = outs[0].node_matrix;
   std::vector<query::NodeStats> out;
   out.reserve(static_cast<size_t>(nm.rows()));
   for (int64_t i = 0; i < nm.rows(); ++i) {
@@ -646,6 +530,15 @@ std::vector<query::NodeStats> QpSeeker::PredictNodes(const Query& q,
         normalizer_.Denormalize(nm(i, dvec), nm(i, dvec + 1), nm(i, dvec + 2)));
   }
   return out;
+}
+
+nn::Tensor QpSeeker::AttentionScores(const Query& q, const PlanNode& plan) const {
+  nn::Tensor scores;
+  if (!config_.use_attention) return scores;
+  nn::Tensor query_emb, qep;
+  query_encoder_->EncodeTensor(q, &query_emb);
+  attention_->CombineTensor(query_emb, NodeMatrix(q, plan), &qep, &scores);
+  return scores;
 }
 
 std::vector<float> QpSeeker::LatentVector(const Query& q, const PlanNode& plan) const {

@@ -106,18 +106,17 @@ class QpSeeker {
   /// encoding, height-batched plan encoding, and one (N x d) VAE/head pass
   /// instead of N GEMVs. When `pool` is given, per-plan annotation is
   /// sharded across it (results are bit-identical either way). Cached plans
-  /// skip evaluation entirely.
+  /// skip evaluation entirely. A one-request PredictPlansMulti.
   std::vector<query::NodeStats> PredictPlansBatch(
       const query::Query& q, const std::vector<const query::PlanNode*>& plans,
       util::ThreadPool* pool = nullptr) const;
 
-  /// Cross-query fused evaluation: candidate batches from *different*
-  /// queries share one VAE/head forward. Per-request cache consultation,
-  /// intra-batch dedup, annotation (sharded across `pool`), and encoding
-  /// are identical to PredictPlansBatch; only the final dense pass is
-  /// stacked. Because every GEMM kernel accumulates each output row in the
-  /// same k-order regardless of batch row count, result[r] is bit-identical
-  /// to PredictPlansBatch(*requests[r].query, requests[r].plans, pool) —
+  /// The one batched inference path: candidate batches from *different*
+  /// queries share one VAE/head forward. Cache consultation, dedup and
+  /// encoding run per request; only the final dense pass is stacked.
+  /// Because every GEMM kernel accumulates each output row in the same
+  /// k-order regardless of batch row count, result[r] is bit-identical to
+  /// PredictPlansBatch(*requests[r].query, requests[r].plans, pool) —
   /// the property the serving layer's determinism contract rests on.
   std::vector<std::vector<query::NodeStats>> PredictPlansMulti(
       const std::vector<PlanEvalRequest>& requests,
@@ -143,9 +142,11 @@ class QpSeeker {
   std::vector<float> LatentVector(const query::Query& q,
                                   const query::PlanNode& plan) const;
 
-  /// Attention scores of the last PredictPlan call (heads x nodes), empty
-  /// for single-node plans.
-  nn::Tensor LastAttentionScores() const { return attention_->last_scores(); }
+  /// QPAttention weights of `plan` (heads x nodes): which plan nodes the
+  /// estimate attends to. Annotates, encodes and attends for this plan
+  /// alone, bypassing the prediction cache. Empty for single-node plans and
+  /// when attention is ablated (use_attention = false).
+  nn::Tensor AttentionScores(const query::Query& q, const query::PlanNode& plan) const;
 
   /// Fills plan->estimated with the statistics-based annotations the model
   /// consumes (leaf cardinalities + user-defined costs).
@@ -184,23 +185,19 @@ class QpSeeker {
   ForwardOut Forward(const query::Query& q, const query::PlanNode& plan,
                      Rng* sample_rng) const;
 
-  /// Tensor-only batched forward on pre-annotated plans: returns the
-  /// normalized (N x 3) prediction matrix. No cache, no fault injection.
-  /// When `plan_outs` is non-null it receives the per-plan node matrices.
-  nn::Tensor ForwardBatchTensor(
-      const query::Query& q, const std::vector<const query::PlanNode*>& annotated,
-      std::vector<encoder::PlanEncoder::TensorOutput>* plan_outs) const;
-
-  /// Encoder front half of ForwardBatchTensor: query + plan encodings
-  /// combined into the (N x qep_dim) embedding matrix.
-  void EncodeQepTensor(const query::Query& q,
-                       const std::vector<const query::PlanNode*>& annotated,
-                       std::vector<encoder::PlanEncoder::TensorOutput>* plan_outs,
-                       nn::Tensor* qep) const;
+  /// Query + plan encodings of pre-annotated plans, combined into rows
+  /// [first_row, first_row + annotated.size()) of the qep embedding matrix.
+  void EncodeQepRows(const query::Query& q,
+                     const std::vector<const query::PlanNode*>& annotated,
+                     int64_t first_row, nn::Tensor* qep) const;
 
   /// Dense back half: VAE reconstruction (when enabled) + prediction head.
   /// Row r of the result depends only on row r of `qep`.
   nn::Tensor HeadTensor(const nn::Tensor& qep) const;
+
+  /// Annotates a copy of `plan` and returns the plan encoder's
+  /// (num_nodes x node_out) node matrix, post-order.
+  nn::Tensor NodeMatrix(const query::Query& q, const query::PlanNode& plan) const;
 
   std::vector<nn::NamedParam> AllParameters() const;
 

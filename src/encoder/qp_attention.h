@@ -20,22 +20,20 @@ class QpAttention : public nn::Module {
  public:
   QpAttention(int query_dim, int node_dim, const EncoderConfig& config, Rng* rng);
 
-  /// QEP embedding: 1 x out_dim().
-  nn::Var Combine(const nn::Var& query_emb, const PlanEncoder::Output& plan) const;
+  /// QEP embedding: 1 x out_dim(). When `scores` is non-null it receives
+  /// the per-head attention weights over the plan's nodes (heads x n), or
+  /// an empty tensor for a single-node plan, which skips attention.
+  nn::Var Combine(const nn::Var& query_emb, const PlanEncoder::Output& plan,
+                  nn::Tensor* scores = nullptr) const;
 
   /// Autograd-free inference path over a (num_nodes x node_dim) node
   /// matrix; same degenerate-concat rule for single-node plans.
   void CombineTensor(const nn::Tensor& query_emb, const nn::Tensor& node_matrix,
-                     nn::Tensor* out) const;
+                     nn::Tensor* out, nn::Tensor* scores = nullptr) const;
 
   /// Output width == query embedding + plan node vector (paper: "a vector
   /// with size equal to the sum of the query and plan embedding vectors").
   int out_dim() const { return query_dim_ + node_dim_; }
-
-  /// Per-head attention scores of the last multi-node Combine (heads x n).
-  /// By value: the underlying buffer is republished by every forward, which
-  /// may run concurrently on a shared model (see MultiHeadCrossAttention).
-  nn::Tensor last_scores() const { return attn_->last_scores(); }
 
  private:
   int query_dim_;

@@ -150,7 +150,7 @@ OracleReport DifferentialOracle::Check(const query::Query& q, uint64_t seed) {
           {ViolationKind::kInvalidPlan, name, valid.ToString()});
     }
 
-    probe.plan_shape_hash = PlanShapeHash(q, *plan);
+    probe.plan_shape_hash = AliasFreeShapeHash(q, *plan);
     plan->PostOrder([&probe](const query::PlanNode& n) {
       const int op = static_cast<int>(n.op);
       if (op >= 0 && op < query::kNumOpTypes) ++probe.op_counts[op];

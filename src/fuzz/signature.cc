@@ -33,7 +33,7 @@ uint64_t ShapeHashNode(const query::Query& q, const query::PlanNode& node) {
 
 }  // namespace
 
-uint64_t PlanShapeHash(const query::Query& q, const query::PlanNode& plan) {
+uint64_t AliasFreeShapeHash(const query::Query& q, const query::PlanNode& plan) {
   const uint64_t h = ShapeHashNode(q, plan);
   return h == 0 ? 1 : h;  // 0 is reserved for "no plan"
 }

@@ -43,8 +43,10 @@ struct BackendProbe {
 
 /// Order-insensitive structural hash of a plan tree: operator kinds, tree
 /// parenthesization, and the *tables* (not aliases) at the leaves, so the
-/// same shape found from a permuted FROM list hashes identically.
-uint64_t PlanShapeHash(const query::Query& q, const query::PlanNode& plan);
+/// same shape found from a permuted FROM list hashes identically. Unlike
+/// core::PlanShapeHash, the prediction-cache key over one query's relation
+/// indexes, it compares plans across queries.
+uint64_t AliasFreeShapeHash(const query::Query& q, const query::PlanNode& plan);
 
 /// Buckets the root-cardinality q-error into 10 log-scale deciles:
 /// 0 = essentially exact, 9 = off by >= 2^9. Zero-row results use +1

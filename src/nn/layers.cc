@@ -289,55 +289,48 @@ MultiHeadCrossAttention::MultiHeadCrossAttention(int64_t query_dim,
   RegisterChild("proj", out_proj_.get());
 }
 
-Var MultiHeadCrossAttention::Forward(const Var& query, const Var& context) const {
+Var MultiHeadCrossAttention::Forward(const Var& query, const Var& context,
+                                     Tensor* scores) const {
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  if (scores != nullptr) *scores = Tensor(heads_, context->value.rows());
   std::vector<Var> head_outs;
-  // Scores accumulate in a local and publish at the end: forwards may run
-  // concurrently over shared weights, and a shared in-progress buffer would
-  // be a cross-thread use-after-free when another forward reallocates it.
-  Tensor scores_out(heads_, context->value.rows());
   for (int h = 0; h < heads_; ++h) {
     Var q = MatMul(query, wq_[h]);                       // (1, d)
     Var k = MatMul(context, wk_[h]);                     // (n, d)
     Var v = MatMul(context, wv_[h]);                     // (n, d)
-    Var scores = Scale(MatMul(q, Transpose(k)), scale);  // (1, n)
-    Var attn = SoftmaxRows(scores);
-    for (int64_t j = 0; j < attn->value.cols(); ++j) {
-      scores_out(h, j) = attn->value(0, j);
+    Var logits = Scale(MatMul(q, Transpose(k)), scale);  // (1, n)
+    Var attn = SoftmaxRows(logits);
+    if (scores != nullptr) {
+      for (int64_t j = 0; j < attn->value.cols(); ++j) {
+        (*scores)(h, j) = attn->value(0, j);
+      }
     }
     head_outs.push_back(MatMul(attn, v));  // (1, d)
-  }
-  {
-    std::lock_guard<std::mutex> lock(scores_mu_);
-    last_scores_ = std::move(scores_out);
   }
   return out_proj_->Forward(ConcatCols(head_outs));
 }
 
 void MultiHeadCrossAttention::ForwardTensor(const Tensor& query, const Tensor& context,
-                                            Tensor* out) const {
+                                            Tensor* out, Tensor* scores) const {
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   const int64_t n = context.rows();
-  // Local scores buffer, published under the lock at the end — see Forward.
-  Tensor scores_out(heads_, n);
+  if (scores != nullptr) *scores = Tensor(heads_, n);
   Tensor concat(1, heads_ * head_dim_);
   Tensor q(1, head_dim_), k(n, head_dim_), v(n, head_dim_);
-  Tensor scores(1, n), head_out(1, head_dim_);
+  Tensor attn(1, n), head_out(1, head_dim_);
   for (int h = 0; h < heads_; ++h) {
     Gemm(GemmLayout::kNone, query, wq_[h]->value, &q, false);
     Gemm(GemmLayout::kNone, context, wk_[h]->value, &k, false);
     Gemm(GemmLayout::kNone, context, wv_[h]->value, &v, false);
-    Gemm(GemmLayout::kTransB, q, k, &scores, false);  // (1, n)
-    scores.ScaleInPlace(scale);
-    SoftmaxRowsInPlace(&scores);
-    for (int64_t j = 0; j < n; ++j) scores_out(h, j) = scores(0, j);
-    Gemm(GemmLayout::kNone, scores, v, &head_out, false);
+    Gemm(GemmLayout::kTransB, q, k, &attn, false);  // (1, n)
+    attn.ScaleInPlace(scale);
+    SoftmaxRowsInPlace(&attn);
+    if (scores != nullptr) {
+      for (int64_t j = 0; j < n; ++j) (*scores)(h, j) = attn(0, j);
+    }
+    Gemm(GemmLayout::kNone, attn, v, &head_out, false);
     std::memcpy(concat.data() + h * head_dim_, head_out.data(),
                 sizeof(float) * static_cast<size_t>(head_dim_));
-  }
-  {
-    std::lock_guard<std::mutex> lock(scores_mu_);
-    last_scores_ = std::move(scores_out);
   }
   out_proj_->ForwardTensor(concat, out);
 }

@@ -8,7 +8,6 @@
 #define QPS_NN_LAYERS_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -184,31 +183,23 @@ class MultiHeadCrossAttention : public Module {
                           int64_t head_dim, int64_t out_dim, Rng* rng,
                           const std::string& name = "xattn");
 
-  /// query: (1, query_dim); context: (n, context_dim).
-  Var Forward(const Var& query, const Var& context) const;
+  /// query: (1, query_dim); context: (n, context_dim). When `scores` is
+  /// non-null it receives the attention weights, one row per head
+  /// (heads, n), for inspecting which plan nodes dominate the estimate; a
+  /// forward keeps no state, so concurrent forwards over shared weights
+  /// need no synchronization.
+  Var Forward(const Var& query, const Var& context, Tensor* scores = nullptr) const;
 
-  /// Autograd-free inference path; same semantics as Forward (including
-  /// updating last_scores()), writing the (1, out_dim) result into *out.
-  void ForwardTensor(const Tensor& query, const Tensor& context, Tensor* out) const;
-
-  /// Attention weights of the last Forward call, one row per head (heads, n).
-  /// Useful for inspecting which plan nodes dominate the estimate. Returned
-  /// by value: forwards may run concurrently on a shared model (one serving
-  /// core per tenant over the same weights), so each forward computes its
-  /// scores locally and publishes them under a lock — a reference into the
-  /// buffer would race with the next publication.
-  Tensor last_scores() const {
-    std::lock_guard<std::mutex> lock(scores_mu_);
-    return last_scores_;
-  }
+  /// Autograd-free inference path; same semantics as Forward, writing the
+  /// (1, out_dim) result into *out.
+  void ForwardTensor(const Tensor& query, const Tensor& context, Tensor* out,
+                     Tensor* scores = nullptr) const;
 
  private:
   int heads_;
   int64_t head_dim_;
   std::vector<Var> wq_, wk_, wv_;  ///< per head
   std::unique_ptr<Linear> out_proj_;
-  mutable std::mutex scores_mu_;
-  mutable Tensor last_scores_;  ///< guarded by scores_mu_
 };
 
 /// Variational autoencoder over QEP embeddings (the Cost Modeler, §4.4).

@@ -17,7 +17,8 @@
 // quantized forward depends only on row r of the input, which preserves
 // the batch-composition-independence invariant the batched encoder, the
 // cross-query fusion, and the serving determinism tests all rely on
-// (PredictPlansBatch == PredictPlan, bitwise, at any batch size).
+// (a plan's row of a PredictPlansMulti forward == PredictPlan, bitwise, at
+// any batch size).
 
 #ifndef QPS_NN_QUANT_H_
 #define QPS_NN_QUANT_H_

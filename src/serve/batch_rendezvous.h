@@ -18,12 +18,12 @@
 //     to call from any number of threads (planner_api.h), so the
 //     rendezvous of two model generations, or of two tenants sharing one
 //     model, may flush at the same time.
-//  2. Determinism. PredictPlansMulti evaluates each fused request exactly
-//     as PredictPlansBatch would (per-request encoding, dedup, caching;
-//     row-independent dense kernels), so the NodeStats a request receives
-//     are bit-identical no matter which other queries it shared a flush
-//     with — including sharing with none. Plans produced under load are
-//     therefore bit-identical to serial planning.
+//  2. Determinism, by construction. PredictPlansBatch is PredictPlansMulti
+//     of one request, and PredictPlansMulti encodes, dedups and caches per
+//     request over row-independent dense kernels, so the NodeStats a
+//     request receives are bit-identical no matter which other queries it
+//     shared a flush with — including sharing with none. Plans produced
+//     under load are therefore bit-identical to serial planning.
 
 #ifndef QPS_SERVE_BATCH_RENDEZVOUS_H_
 #define QPS_SERVE_BATCH_RENDEZVOUS_H_

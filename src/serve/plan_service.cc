@@ -217,7 +217,14 @@ void PlanService::Plan(const RequestPtr& req) {
     // attempt, even if a swap publishes a new generation meanwhile.
     const std::shared_ptr<const Generation> gen = CurrentGeneration();
     core::PlanRequestOptions ropts;
+    // A retry plans under what is left of the deadline, on the clock
+    // FitsBudget gates the backoff with (time since Submit), floored at the
+    // 1 ms FitsBudget reserves so it never reads as "no deadline".
     ropts.deadline_ms = req->request.deadline_ms;
+    if (req->retries > 0 && ropts.deadline_ms > 0.0) {
+      ropts.deadline_ms =
+          std::max(1.0, ropts.deadline_ms - req->submitted.ElapsedMillis());
+    }
     ropts.fail_on_deadline = req->request.fail_on_deadline;
     ropts.seed = req->request.seed;
     ropts.tenant_id = tenant_id_;

@@ -30,9 +30,11 @@
 //   settle  a transient failure (RetryPolicy::ShouldRetry) whose backoff
 //           fits the request deadline is retried: the stage that failed
 //           is re-enqueued with ThreadPool::ScheduleAfter after
-//           RetryPolicy::BackoffMs(attempt, seed). No thread sleeps, and
-//           the backoff holds no worker. Anything else resolves the future
-//           exactly once, with one ledger entry and one audit line.
+//           RetryPolicy::BackoffMs(attempt, seed), and a retried plan
+//           runs under what is left of the deadline since Submit. No
+//           thread sleeps, and the backoff holds no worker. Anything else
+//           resolves the future exactly once, with one ledger entry and
+//           one audit line.
 //
 // What the breaker sees: every planning attempt (plus the shard_<i>
 // shadow key), and admission failures with reason "fault_injected". Never

@@ -120,6 +120,7 @@ nn::Tensor TabSketch::Project(const nn::Tensor& raw) const {
   }
   total_time_ms_.fetch_add(timer.ElapsedMillis(), std::memory_order_relaxed);
   num_calls_.fetch_add(1, std::memory_order_relaxed);
+  num_mixing_rounds_.fetch_add(rounds, std::memory_order_relaxed);
   return h;
 }
 

@@ -80,9 +80,15 @@ class TabSketch {
     return total_time_ms_.load(std::memory_order_relaxed);
   }
   int64_t num_calls() const { return num_calls_.load(std::memory_order_relaxed); }
+  /// Mixing rounds run by those projections: the work that K and the model
+  /// size scale, counted exactly where wall time is noisy.
+  int64_t num_mixing_rounds() const {
+    return num_mixing_rounds_.load(std::memory_order_relaxed);
+  }
   void ResetTiming() const {
     total_time_ms_.store(0.0, std::memory_order_relaxed);
     num_calls_.store(0, std::memory_order_relaxed);
+    num_mixing_rounds_.store(0, std::memory_order_relaxed);
   }
 
   /// Raw (pre-projection) feature width: datatype(3) + size/ndv(3) +
@@ -104,6 +110,7 @@ class TabSketch {
   std::vector<nn::Tensor> table_reps_;
   mutable std::atomic<double> total_time_ms_{0.0};
   mutable std::atomic<int64_t> num_calls_{0};
+  mutable std::atomic<int64_t> num_mixing_rounds_{0};
 };
 
 }  // namespace tabert

@@ -138,6 +138,66 @@ TEST_F(CoreTest, PredictNodesReturnsPostOrderTriples) {
   EXPECT_EQ(static_cast<int>(nodes.size()), qep.plan->NumNodes());
 }
 
+// Attention scores describe the plan they are asked for, never the last
+// plan some forward happened to run: a single-node plan skips attention, so
+// its scores are empty even right after a multi-node prediction.
+TEST_F(CoreTest, AttentionScoresOfSingleNodePlanAreEmpty) {
+  QpSeeker seeker = MakeTrained(100.0, /*epochs=*/5);
+  const sampling::Qep* multi = nullptr;
+  const sampling::Qep* single = nullptr;
+  for (const auto& qep : dataset_.qeps) {
+    if (multi == nullptr && qep.plan->NumNodes() > 1) multi = &qep;
+    if (single == nullptr && qep.plan->NumNodes() == 1) single = &qep;
+  }
+  ASSERT_NE(multi, nullptr);
+  ASSERT_NE(single, nullptr);
+  const auto& mq = dataset_.queries[static_cast<size_t>(multi->query_id)];
+  const auto& sq = dataset_.queries[static_cast<size_t>(single->query_id)];
+  seeker.PredictPlan(mq, *multi->plan);
+  seeker.PredictPlan(sq, *single->plan);
+  EXPECT_EQ(seeker.AttentionScores(sq, *single->plan).size(), 0);
+}
+
+// One row per head, each a softmax over the plan's nodes, and the same
+// scores whether the plan's prediction is cached or not (a cache hit runs
+// no forward at all).
+TEST_F(CoreTest, AttentionScoresAreRowStochasticAndCacheIndependent) {
+  QpSeeker seeker = MakeTrained(100.0, /*epochs=*/5);
+  seeker.EnableCache(1 << 20);
+  std::vector<const sampling::Qep*> multi;
+  for (const auto& qep : dataset_.qeps) {
+    if (qep.plan->NumNodes() > 1 &&
+        (multi.empty() || PlanShapeHash(*qep.plan) != PlanShapeHash(*multi[0]->plan))) {
+      multi.push_back(&qep);
+    }
+    if (multi.size() == 2) break;
+  }
+  ASSERT_EQ(multi.size(), 2u);
+  const auto& q = dataset_.queries[static_cast<size_t>(multi[0]->query_id)];
+  const query::PlanNode& plan = *multi[0]->plan;
+
+  const nn::Tensor cold = seeker.AttentionScores(q, plan);
+  ASSERT_EQ(cold.rows(), seeker.config().encoder.attn_heads);
+  ASSERT_EQ(cold.cols(), plan.NumNodes());
+  for (int64_t h = 0; h < cold.rows(); ++h) {
+    float sum = 0.0f;
+    for (int64_t j = 0; j < cold.cols(); ++j) {
+      EXPECT_GE(cold(h, j), 0.0f);
+      sum += cold(h, j);
+    }
+    EXPECT_NEAR(sum, 1.0f, 1e-4f);
+  }
+
+  // Cache the plan, run a different plan's forward, then hit the cache.
+  seeker.PredictPlan(q, plan);
+  seeker.PredictPlan(dataset_.queries[static_cast<size_t>(multi[1]->query_id)],
+                     *multi[1]->plan);
+  const int64_t hits = seeker.cache()->GetStats().hits;
+  seeker.PredictPlan(q, plan);
+  ASSERT_EQ(seeker.cache()->GetStats().hits, hits + 1);
+  EXPECT_EQ(seeker.AttentionScores(q, plan).ToVector(), cold.ToVector());
+}
+
 TEST_F(CoreTest, LatentVectorsHaveConfiguredDim) {
   QpSeeker seeker = MakeTrained();
   const auto& qep = dataset_.qeps[0];

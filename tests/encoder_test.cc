@@ -154,12 +154,13 @@ TEST_F(EncoderTest, AttentionOutputDimIsSumOfEmbeddings) {
   auto plan = MakePlan(q);
   nn::Var qe = query_encoder_->Encode(q);
   auto po = plan_encoder_->Encode(q, *plan, norm_);
-  nn::Var combined = attention_->Combine(qe, po);
+  nn::Tensor scores;
+  nn::Var combined = attention_->Combine(qe, po, &scores);
   EXPECT_EQ(combined->value.cols(),
             query_encoder_->out_dim() + plan_encoder_->node_out_dim());
   // Multi-node: real attention scores exist, one row per head.
-  EXPECT_EQ(attention_->last_scores().rows(), config_.attn_heads);
-  EXPECT_EQ(attention_->last_scores().cols(), 5);
+  EXPECT_EQ(scores.rows(), config_.attn_heads);
+  EXPECT_EQ(scores.cols(), 5);
 }
 
 TEST_F(EncoderTest, SingleNodePlanFallsBackToConcat) {

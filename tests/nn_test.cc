@@ -326,10 +326,10 @@ TEST(LayersTest, CrossAttentionShapesAndScores) {
   MultiHeadCrossAttention attn(10, 8, /*heads=*/4, /*head_dim=*/6, /*out=*/12, &rng);
   Var q = Constant(Tensor::Randn(1, 10, &rng));
   Var ctx = Constant(Tensor::Randn(5, 8, &rng));
-  Var out = attn.Forward(q, ctx);
+  Tensor scores;
+  Var out = attn.Forward(q, ctx, &scores);
   EXPECT_EQ(out->value.rows(), 1);
   EXPECT_EQ(out->value.cols(), 12);
-  const Tensor& scores = attn.last_scores();
   EXPECT_EQ(scores.rows(), 4);
   EXPECT_EQ(scores.cols(), 5);
   for (int64_t h = 0; h < 4; ++h) {

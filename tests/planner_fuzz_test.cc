@@ -167,7 +167,7 @@ TEST(SignatureTest, QErrorDeciles) {
   EXPECT_EQ(fuzz::QErrorDecile(std::nan(""), 10.0), 9);
 }
 
-TEST(SignatureTest, PlanShapeHashIsAliasInsensitive) {
+TEST(SignatureTest, AliasFreeShapeHashIsAliasInsensitive) {
   const auto& fx = FuzzFixture::Get();
   auto q1 = query::ParseSql(
       "SELECT COUNT(*) FROM a, b WHERE b.b1 = a.id;", *fx.db);
@@ -185,11 +185,13 @@ TEST(SignatureTest, PlanShapeHashIsAliasInsensitive) {
   auto p2 = plan_for(*q2, {1, 0});
   ASSERT_NE(p1, nullptr);
   ASSERT_NE(p2, nullptr);
-  EXPECT_EQ(fuzz::PlanShapeHash(*q1, *p1), fuzz::PlanShapeHash(*q2, *p2));
+  EXPECT_EQ(fuzz::AliasFreeShapeHash(*q1, *p1),
+            fuzz::AliasFreeShapeHash(*q2, *p2));
   // A different operator changes the shape.
   auto p3 = plan_for(*q1, {0, 1});
   p3->op = query::OpType::kMergeJoin;
-  EXPECT_NE(fuzz::PlanShapeHash(*q1, *p1), fuzz::PlanShapeHash(*q1, *p3));
+  EXPECT_NE(fuzz::AliasFreeShapeHash(*q1, *p1),
+            fuzz::AliasFreeShapeHash(*q1, *p3));
 }
 
 TEST(SignatureTest, CoverageMapDeduplicates) {

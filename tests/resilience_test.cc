@@ -437,6 +437,37 @@ TEST_F(ResilienceTest, RetryBackoffDoesNotHoldTheWorker) {
   EXPECT_EQ(service->TenantStats("backing_off")->retry_successes, 1);
 }
 
+// A retried attempt plans under what is left of the request deadline, not
+// under the whole deadline again: the first attempt stalls 80 ms of a 100 ms
+// deadline and then fails, so the deadline-bound retry has ~20 ms left.
+// Planning the retry under the full deadline resolves after ~180 ms.
+TEST_F(ResilienceTest, RetryPlansUnderTheRemainingDeadline) {
+  PlanServiceDeps deps = Deps("neural");
+  deps.guard_options.hybrid.mcts.max_rollouts = 1000000;  // deadline-bound
+  fault::FaultSpec spec;
+  spec.code = StatusCode::kIOError;
+  spec.trigger_on_hit = 1;
+  spec.latency_ms = 80.0;
+  fault::FaultInjector::Global().Arm("mcts.rollout", spec);
+
+  ShardedPlanServiceOptions opts;
+  opts.workers_per_shard = 1;
+  opts.retry.max_retries = 1;
+  opts.retry.backoff_base_ms = 0.1;
+  auto service = OneTenant::Make(deps, opts);
+  PlanRequest request = Req(ThreeWay(), 11);
+  request.deadline_ms = 100.0;
+  const auto start = std::chrono::steady_clock::now();
+  auto result = service->Submit(std::move(request)).get();
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->deadline_hit);
+  EXPECT_EQ(service->stats().retry_successes, 1);
+  EXPECT_LT(elapsed_ms, 140.0) << "the retry planned under the whole deadline";
+}
+
 TEST_F(ResilienceTest, TerminalFailuresAreNotRetried) {
   fault::FaultSpec spec;
   spec.code = StatusCode::kInvalidArgument;  // terminal

@@ -108,10 +108,11 @@ TEST_F(TabSketchTest, TimingScalesWithKAndSize) {
     large.ColumnRepresentation(0, 1, &pred);
   }
   EXPECT_EQ(k1.num_calls(), kReps);
-  // K=3 does 3x the mixing rounds; large does 9x. Wall-clock is noisy on CI,
-  // so only require a monotone ordering with slack.
-  EXPECT_GT(k3.total_time_ms(), k1.total_time_ms() * 0.9);
-  EXPECT_GT(large.total_time_ms(), k1.total_time_ms());
+  // K=3 does 3x the mixing rounds; large does 9x. Counted, not timed: wall
+  // clock is noisy under a loaded test run.
+  EXPECT_EQ(k1.num_mixing_rounds(), kReps);
+  EXPECT_EQ(k3.num_mixing_rounds(), 3 * k1.num_mixing_rounds());
+  EXPECT_EQ(large.num_mixing_rounds(), 9 * k1.num_mixing_rounds());
 }
 
 TEST_F(TabSketchTest, CacheMakesUnconditionedCallsCheap) {
