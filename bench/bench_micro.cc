@@ -452,9 +452,9 @@ void BM_MctsRollouts(benchmark::State& state) {
 }
 BENCHMARK(BM_MctsRollouts)->Arg(16)->Arg(64);
 
-// Leaf-parallel MCTS: rollouts/sec at 1/2/4 threads. Batched evaluation
-// (eval_batch auto-scales to 8 * threads) amortizes GEMM weight traffic
-// even on one core; the pool adds real parallelism on multi-core hosts.
+// MCTS rollouts/sec at threads = 1/2/4. A request plans on one thread, so
+// `threads` only sets the automatic eval_batch (8 * threads): this measures
+// how larger batched forwards amortize GEMM weight traffic.
 void BM_MctsRolloutsParallel(benchmark::State& state) {
   auto& fx = ExecFixture::Get();
   auto& mfx = ModelFixture::Get();
@@ -689,7 +689,9 @@ int CheckWindowedOverheadBound() {
   // Half a nanosecond of absolute slack absorbs timer granularity when
   // both loops are ~1 ns/op.
   const double bound_ns = 2.0 * counter_ns + 0.5;
-  std::printf(
+  // stderr, so that --benchmark_format=json output on stdout still parses.
+  std::fprintf(
+      stderr,
       "windowed-overhead check: counter %.3f ns/op, windowed(disabled) "
       "%.3f ns/op, bound %.3f ns/op -> %s\n",
       counter_ns, disabled_ns, bound_ns,
@@ -724,7 +726,8 @@ int CheckResilienceOverheadBound() {
 
   const double bound_ns = 2.0 * disarmed_ns + 0.5;
   const bool ok = cancel_ns <= bound_ns && classify_ns <= bound_ns;
-  std::printf(
+  std::fprintf(
+      stderr,
       "resilience-overhead check: disarmed fault %.3f ns/op, cancel poll "
       "%.3f ns/op, retry classify %.3f ns/op, bound %.3f ns/op -> %s\n",
       disarmed_ns, cancel_ns, classify_ns, bound_ns, ok ? "OK" : "FAIL");

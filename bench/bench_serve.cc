@@ -68,7 +68,6 @@ RunResult RunClients(const core::QpSeeker& model, optimizer::Planner* baseline,
                      int requests_per_client, double budget_ms) {
   core::GuardedOptions gopts;
   gopts.hybrid.mcts.time_budget_ms = budget_ms;
-  gopts.hybrid.mcts.threads = 1;
 
   serve::PlanServiceDeps deps;
   deps.planner_name = "neural";
@@ -134,7 +133,6 @@ void RunWindowedObservation(const core::QpSeeker& model,
       "load ---\n");
   core::GuardedOptions gopts;
   gopts.hybrid.mcts.time_budget_ms = budget_ms;
-  gopts.hybrid.mcts.threads = 1;
   serve::PlanServiceDeps deps;
   deps.planner_name = "neural";
   deps.model = std::shared_ptr<const core::QpSeeker>(
@@ -202,7 +200,6 @@ core::GuardedOptions TenantGopts() {
   gopts.hybrid.mcts.max_rollouts = 48;
   gopts.hybrid.mcts.eval_batch = 4;
   gopts.hybrid.mcts.seed = 5;
-  gopts.hybrid.mcts.threads = 1;
   return gopts;
 }
 

@@ -56,8 +56,10 @@
 //                             (deterministic jitter seeded by the request)
 //
 // Performance:
-//   --threads=N               thread-pool workers for MCTS leaf evaluation;
-//                             also scales the batched-forward size
+//   --threads=N               MCTS scores 8*N candidates per batched
+//                             forward (a request still plans on one
+//                             thread); with --tenants, also the workers
+//                             per shard
 //   --cache-mb=N              enable the LRU plan-prediction cache (N MiB)
 //
 // Model lifecycle (neural planners):
@@ -118,7 +120,6 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
-#include "util/threadpool.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -283,13 +284,11 @@ struct TenantLine {
 };
 
 /// Builds a TenantSpec over the session's model/baseline. Backends other
-/// than "baseline" reuse the session model; per-tenant planning is
-/// single-threaded (parallelism comes from concurrent requests).
+/// than "baseline" reuse the session model.
 serve::TenantSpec MakeTenantSpec(const TenantLine& line,
                                  const std::shared_ptr<core::QpSeeker>& model,
                                  const optimizer::Planner& baseline) {
   core::GuardedOptions gopts;
-  gopts.hybrid.mcts.threads = 1;
   serve::TenantSpec spec;
   spec.tenant_id = line.id;
   spec.deps.planner_name = line.backend;
@@ -372,10 +371,9 @@ void PrintTenants(const serve::ShardedPlanService& sharded) {
 int RunServe(const storage::Database& db, core::QpSeeker* model,
              const optimizer::Planner& baseline, const Options& opts) {
   // All model evaluation in serving goes through the batch rendezvous,
-  // which fuses forwards across requests, so per-request MCTS runs
-  // single-threaded and parallelism comes from concurrent requests.
+  // which fuses forwards across requests; parallelism comes from
+  // concurrent requests.
   core::GuardedOptions gopts;
-  gopts.hybrid.mcts.threads = 1;
   if (opts.planner == "guarded") {
     gopts.neural_deadline_ms = gopts.hybrid.mcts.time_budget_ms;
   }
@@ -647,16 +645,9 @@ int main(int argc, char** argv) {
 
   if (opts.serve) return RunServe(*db, model.get(), baseline, opts);
 
-  // One pool for the whole session; MCTS shards leaf evaluation over it.
-  std::unique_ptr<util::ThreadPool> pool;
-  if (opts.threads > 1) {
-    pool = std::make_unique<util::ThreadPool>(opts.threads - 1);
-  }
-
   exec::Executor executor(*db);
   core::GuardedOptions gopts;
   gopts.hybrid.mcts.threads = opts.threads;
-  gopts.hybrid.mcts.pool = pool.get();
   if (opts.planner == "guarded") {
     gopts.neural_deadline_ms = gopts.hybrid.mcts.time_budget_ms;
   }

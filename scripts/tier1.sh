@@ -2,8 +2,8 @@
 # Tier-1 verification: full build + test suite, then the concurrency tests
 # again under ThreadSanitizer (-DQPS_SANITIZE=THREAD). ASan and TSan cannot
 # be combined, so the TSan pass uses its own build tree and only re-runs the
-# tests that exercise the thread pool and the parallel MCTS/batched-forward
-# hot path.
+# tests that exercise the shard thread pool, concurrent forwards on one
+# shared model, and the serving layer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,6 +29,16 @@ echo "== tier-1: no-lock lint (src/nn, src/encoder, src/tabert) =="
 if grep -rnE "std::mutex|shared_mutex|lock_guard|unique_lock|scoped_lock" \
     src/nn src/encoder src/tabert; then
   echo "error: model code must not lock; return state to the caller instead" >&2
+  exit 1
+fi
+
+echo "== tier-1: planning-starts-no-threads lint (src/core, src/encoder, src/nn, src/tabert) =="
+# A planning request runs on one thread from parse to plan; the serving
+# shards (src/serve) are the only level of parallelism. Planner and model
+# code therefore never start a thread or hold a pool.
+if grep -rnE "ThreadPool|std::thread|std::async" \
+    src/core src/encoder src/nn src/tabert; then
+  echo "error: planning code must not start threads; parallelize across requests in src/serve" >&2
   exit 1
 fi
 

@@ -83,16 +83,19 @@ Status GuardedPlanner::TryNeural(const query::Query& q,
                                  PlanResult* out) const {
   QPS_TRACE_SPAN("guarded.neural");
   neural_attempts_.fetch_add(1, std::memory_order_relaxed);
-  MctsOptions mopts = options_.hybrid.mcts;
-  if (options_.neural_deadline_ms > 0.0) {
-    mopts.time_budget_ms = std::min(mopts.time_budget_ms, options_.neural_deadline_ms);
-    mopts.hard_deadline_ms = options_.neural_deadline_ms * kDeadlineSlack;
+  MctsOptions search = options_.hybrid.mcts;
+  const double deadline_ms = options_.neural_deadline_ms;
+  if (deadline_ms > 0.0) {
+    search.time_budget_ms = std::min(search.time_budget_ms, deadline_ms);
   }
-  mopts.deadline_ms = ropts.deadline_ms;
-  if (ropts.seed != 0) mopts.seed = ropts.seed;
-  if (ropts.evaluate) mopts.evaluate = ropts.evaluate;
-  mopts.cancel = ropts.cancel;
-  auto mcts = MctsPlan(*model_, q, mopts);
+  auto mcts = MctsPlan(*model_, q, search, ropts);
+  // A search that overran the slack, say behind a stalled model
+  // evaluation, fails instead of serving a late plan, so the ladder falls
+  // back to the greedy rung.
+  if (mcts.ok() && deadline_ms > 0.0 &&
+      mcts->planning_ms > kDeadlineSlack * deadline_ms) {
+    mcts = Status::DeadlineExceeded("MCTS blew the planning deadline");
+  }
   if (!mcts.ok()) {
     const Status& st = mcts.status();
     if (st.IsDeadlineExceeded()) {
@@ -113,13 +116,7 @@ Status GuardedPlanner::TryNeural(const query::Query& q,
     neural_invalid_plan_.fetch_add(1, std::memory_order_relaxed);
     return valid;
   }
-  out->node_stats = mcts->plan->estimated;
-  out->node_stats.runtime_ms = mcts->predicted_runtime_ms;
-  out->plan = std::move(mcts->plan);
-  out->stage = PlanStage::kNeural;
-  out->used_neural = true;
-  out->plans_evaluated = mcts->plans_evaluated;
-  out->deadline_hit = mcts->deadline_hit;
+  FillPlanResult(std::move(*mcts), PlanStage::kNeural, out);
   return Status::OK();
 }
 
@@ -128,7 +125,7 @@ Status GuardedPlanner::TryGreedy(const query::Query& q,
                                  PlanResult* out) const {
   QPS_TRACE_SPAN("guarded.greedy");
   greedy_attempts_.fetch_add(1, std::memory_order_relaxed);
-  auto greedy = GreedyPlan(*model_, q, ropts.evaluate, ropts.cancel);
+  auto greedy = GreedyPlan(*model_, q, ropts);
   Status st = greedy.ok() ? Status::OK() : greedy.status();
   if (st.ok() && !std::isfinite(greedy->predicted_runtime_ms)) {
     st = Status::Internal("non-finite greedy plan score");
@@ -138,12 +135,7 @@ Status GuardedPlanner::TryGreedy(const query::Query& q,
     greedy_failures_.fetch_add(1, std::memory_order_relaxed);
     return st;
   }
-  out->node_stats = greedy->plan->estimated;
-  out->node_stats.runtime_ms = greedy->predicted_runtime_ms;
-  out->plan = std::move(greedy->plan);
-  out->stage = PlanStage::kGreedy;
-  out->used_neural = true;
-  out->plans_evaluated = greedy->plans_evaluated;
+  FillPlanResult(std::move(*greedy), PlanStage::kGreedy, out);
   return Status::OK();
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "util/fault.h"
 #include "util/logging.h"
@@ -112,7 +113,8 @@ bool RandomCompletion(const Query& q, std::vector<Action>* actions, Rng* rng) {
 }  // namespace
 
 StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
-                              const MctsOptions& opts) {
+                              const MctsOptions& search,
+                              const PlanRequestOptions& request) {
   QPS_RETURN_IF_ERROR(CheckPlannable(q));
   QPS_RETURN_IF_ERROR(q.Validate(model.db()));
   static metrics::Counter* const rollouts_counter =
@@ -123,22 +125,15 @@ StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
       metrics::Registry::Global().GetHistogram("qps.mcts.batch_size");
   QPS_TRACE_SPAN_VAR(span, "mcts.plan");
   Timer timer;
-  Rng rng(opts.seed);
+  Rng rng(request.seed != 0 ? request.seed : search.seed);
   MctsResult result;
   auto root = std::make_unique<TreeNode>();
   std::vector<Action> best_actions;
   double best_runtime = INFINITY;
 
-  const int threads = std::max(1, opts.threads);
-  util::ThreadPool* pool = opts.pool;
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  if (pool == nullptr && threads > 1) {
-    // threads counts the calling thread, which ParallelFor drafts in.
-    owned_pool = std::make_unique<util::ThreadPool>(threads - 1);
-    pool = owned_pool.get();
-  }
   const int eval_batch =
-      opts.eval_batch > 0 ? opts.eval_batch : (threads > 1 ? 8 * threads : 1);
+      search.eval_batch > 0 ? search.eval_batch
+                            : (search.threads > 1 ? 8 * search.threads : 1);
 
   /// One random-completed rollout awaiting evaluation. Its path already
   /// carries the visit increments (virtual loss), so later selections in
@@ -151,24 +146,24 @@ StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
 
   // A request deadline truncates the anytime budget; the first batch is
   // exempt so an already-expired deadline still yields one evaluated plan.
-  const double budget_ms = opts.deadline_ms > 0.0
-                               ? std::min(opts.time_budget_ms, opts.deadline_ms)
-                               : opts.time_budget_ms;
+  const double budget_ms = request.deadline_ms > 0.0
+                               ? std::min(search.time_budget_ms, request.deadline_ms)
+                               : search.time_budget_ms;
 
   const int n = q.num_relations();
-  while (result.plans_evaluated < opts.max_rollouts &&
+  while (result.plans_evaluated < search.max_rollouts &&
          (result.plans_evaluated == 0 || timer.ElapsedMillis() < budget_ms)) {
-    // Gather up to eval_batch candidates. All tree walking, expansion, and
-    // rng use is serial — parallelism only touches the pure evaluation.
+    // Gather up to eval_batch candidates; tree walking, expansion and rng
+    // use happen in selection order, before the one batched evaluation.
     std::vector<Candidate> batch;
     while (static_cast<int>(batch.size()) < eval_batch &&
            result.plans_evaluated + static_cast<int>(batch.size()) <
-               opts.max_rollouts) {
+               search.max_rollouts) {
       if (!batch.empty() && timer.ElapsedMillis() >= budget_ms) break;
       // Cancellation boundary: a deadline-expired or abandoned request
       // stops here, before this rollout's tree walk and model evaluation
       // spend CPU the caller will never read.
-      QPS_RETURN_IF_ERROR(util::CheckCancel(opts.cancel));
+      QPS_RETURN_IF_ERROR(util::CheckCancel(request.cancel));
       // Fault point: a rollout may error out or stall (injected latency).
       QPS_RETURN_IF_ERROR(fault::Check("mcts.rollout"));
       QPS_TRACE_SPAN("mcts.rollout");
@@ -191,7 +186,7 @@ StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
           for (auto& child : node->children) {
             const double uct =
                 child->reward / static_cast<double>(child->visits) +
-                opts.exploration_c *
+                search.exploration_c *
                     std::sqrt(std::log(static_cast<double>(std::max(1, node->visits))) /
                               static_cast<double>(child->visits));
             if (uct > best_uct || chosen == nullptr) {
@@ -245,18 +240,17 @@ StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
     batch_size_hist->Record(static_cast<double>(batch.size()));
     // Second boundary before the batched encode+forward — the expensive
     // stage — so a token tripped mid-gather skips it entirely.
-    QPS_RETURN_IF_ERROR(util::CheckCancel(opts.cancel));
+    QPS_RETURN_IF_ERROR(util::CheckCancel(request.cancel));
 
     // 4. Evaluation with the learned cost model: one batched forward for
-    // the whole candidate set (annotation sharded across the pool). A
-    // non-finite score means the model has diverged; surface an error
-    // instead of garbage costs.
+    // the whole candidate set. A non-finite score means the model has
+    // diverged; surface an error instead of garbage costs.
     std::vector<const PlanNode*> plan_ptrs;
     plan_ptrs.reserve(batch.size());
     for (const auto& c : batch) plan_ptrs.push_back(c.plan.get());
     const std::vector<query::NodeStats> preds =
-        opts.evaluate ? opts.evaluate(q, plan_ptrs)
-                      : model.PredictPlansBatch(q, plan_ptrs, pool);
+        request.evaluate ? request.evaluate(q, plan_ptrs)
+                         : model.PredictPlansBatch(q, plan_ptrs);
 
     // 5. Backpropagation, serially in selection order: a node earns one
     // reward unit each time it is part of the best plan discovered so far.
@@ -277,11 +271,8 @@ StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
   }
 
   if (best_actions.empty()) return Status::Internal("MCTS found no plan");
-  if (opts.hard_deadline_ms > 0.0 && timer.ElapsedMillis() > opts.hard_deadline_ms) {
-    return Status::DeadlineExceeded("MCTS blew the planning deadline");
-  }
   result.deadline_hit =
-      opts.deadline_ms > 0.0 && timer.ElapsedMillis() >= opts.deadline_ms;
+      request.deadline_ms > 0.0 && timer.ElapsedMillis() >= request.deadline_ms;
   result.plan = PlanFromActions(q, best_actions);
   model.AnnotateEstimates(q, result.plan.get());
   result.predicted_runtime_ms = best_runtime;
@@ -292,8 +283,7 @@ StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
 }
 
 StatusOr<MctsResult> GreedyPlan(const QpSeeker& model, const Query& q,
-                                const BatchEvalFn& evaluate,
-                                const util::CancelToken* cancel) {
+                                const PlanRequestOptions& request) {
   QPS_RETURN_IF_ERROR(CheckPlannable(q));
   QPS_RETURN_IF_ERROR(q.Validate(model.db()));
   QPS_RETURN_IF_ERROR(fault::Check("greedy.plan"));
@@ -308,9 +298,9 @@ StatusOr<MctsResult> GreedyPlan(const QpSeeker& model, const Query& q,
   for (int step = 0; step < n; ++step) {
     // Cancellation boundary: one check per step, before the step's
     // candidate enumeration and batched forward.
-    QPS_RETURN_IF_ERROR(util::CheckCancel(cancel));
+    QPS_RETURN_IF_ERROR(util::CheckCancel(request.cancel));
     // Build every step candidate first, then score them as one batched
-    // forward — the greedy analogue of MCTS leaf-parallel evaluation.
+    // forward — the greedy analogue of MCTS batched evaluation.
     std::vector<Action> step_actions;
     std::vector<PlanPtr> step_plans;
     for (const Action& a : EnumerateActions(q, MaskOfPath(prefix))) {
@@ -335,7 +325,8 @@ StatusOr<MctsResult> GreedyPlan(const QpSeeker& model, const Query& q,
     ptrs.reserve(step_plans.size());
     for (const auto& p : step_plans) ptrs.push_back(p.get());
     const std::vector<query::NodeStats> preds =
-        evaluate ? evaluate(q, ptrs) : model.PredictPlansBatch(q, ptrs);
+        request.evaluate ? request.evaluate(q, ptrs)
+                         : model.PredictPlansBatch(q, ptrs);
 
     Action best_action;
     double best_runtime = INFINITY;
@@ -361,11 +352,22 @@ StatusOr<MctsResult> GreedyPlan(const QpSeeker& model, const Query& q,
   // so a served request's every forward rides (and is counted by) the
   // serving layer's rendezvous.
   result.predicted_runtime_ms =
-      evaluate ? evaluate(q, {result.plan.get()})[0].runtime_ms
-               : model.PredictPlan(q, *result.plan).runtime_ms;
+      request.evaluate ? request.evaluate(q, {result.plan.get()})[0].runtime_ms
+                       : model.PredictPlan(q, *result.plan).runtime_ms;
   result.planning_ms = timer.ElapsedMillis();
   span.AddAttr("plans_evaluated", result.plans_evaluated);
   return result;
+}
+
+void FillPlanResult(MctsResult search, PlanStage stage, PlanResult* out) {
+  out->node_stats = search.plan->estimated;
+  out->node_stats.runtime_ms = search.predicted_runtime_ms;
+  out->plan = std::move(search.plan);
+  out->stage = stage;
+  out->used_neural = true;
+  out->plans_evaluated = search.plans_evaluated;
+  out->plan_ms = search.planning_ms;
+  out->deadline_hit = search.deadline_hit;
 }
 
 }  // namespace core

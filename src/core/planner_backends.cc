@@ -24,24 +24,12 @@ StatusOr<PlanResult> BaselinePlanner::Plan(const query::Query& q,
 StatusOr<PlanResult> MctsPlanner::Plan(const query::Query& q,
                                        const PlanRequestOptions& ropts) const {
   QPS_RETURN_IF_ERROR(CheckPlannable(q));
-  MctsOptions mopts = options_;
-  mopts.deadline_ms = ropts.deadline_ms;
-  if (ropts.seed != 0) mopts.seed = ropts.seed;
-  if (ropts.evaluate) mopts.evaluate = ropts.evaluate;
-  mopts.cancel = ropts.cancel;
-  QPS_ASSIGN_OR_RETURN(MctsResult mcts, MctsPlan(*model_, q, mopts));
+  QPS_ASSIGN_OR_RETURN(MctsResult mcts, MctsPlan(*model_, q, options_, ropts));
   if (mcts.deadline_hit && ropts.fail_on_deadline) {
     return Status::DeadlineExceeded("planning deadline expired");
   }
   PlanResult result;
-  result.stage = PlanStage::kNeural;
-  result.node_stats = mcts.plan->estimated;
-  result.node_stats.runtime_ms = mcts.predicted_runtime_ms;
-  result.plan = std::move(mcts.plan);
-  result.plan_ms = mcts.planning_ms;
-  result.plans_evaluated = mcts.plans_evaluated;
-  result.used_neural = true;
-  result.deadline_hit = mcts.deadline_hit;
+  FillPlanResult(std::move(mcts), PlanStage::kNeural, &result);
   return result;
 }
 

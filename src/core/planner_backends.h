@@ -50,8 +50,6 @@ class MctsPlanner : public Planner {
   StatusOr<PlanResult> Plan(const query::Query& q,
                             const PlanRequestOptions& ropts) const override;
 
-  const MctsOptions& options() const { return options_; }
-
  private:
   const QpSeeker* model_;
   MctsOptions options_;

@@ -361,13 +361,12 @@ nn::Tensor QpSeeker::HeadTensor(const nn::Tensor& qep) const {
 }
 
 std::vector<query::NodeStats> QpSeeker::PredictPlansBatch(
-    const Query& q, const std::vector<const PlanNode*>& plans,
-    util::ThreadPool* pool) const {
-  return std::move(PredictPlansMulti({PlanEvalRequest{&q, plans}}, pool)[0]);
+    const Query& q, const std::vector<const PlanNode*>& plans) const {
+  return std::move(PredictPlansMulti({PlanEvalRequest{&q, plans}})[0]);
 }
 
 std::vector<std::vector<query::NodeStats>> QpSeeker::PredictPlansMulti(
-    const std::vector<PlanEvalRequest>& requests, util::ThreadPool* pool) const {
+    const std::vector<PlanEvalRequest>& requests) const {
   std::vector<std::vector<query::NodeStats>> results(requests.size());
 
   // Cache consultation plus dedup, both keyed on the plan shape hash: MCTS
@@ -409,22 +408,14 @@ std::vector<std::vector<query::NodeStats>> QpSeeker::PredictPlansMulti(
   }
 
   if (!misses.empty()) {
-    // Clone + annotate each miss. Sharded across the pool when given:
-    // CostModel::EstimatePlan only reads shared state, and each task writes
-    // its own slot, so results are identical at any thread count.
-    std::vector<query::PlanPtr> annotated(misses.size());
+    // Clone + annotate each miss.
+    std::vector<query::PlanPtr> annotated;
+    annotated.reserve(misses.size());
     {
       QPS_TRACE_SPAN("plan.annotate");
-      const auto annotate = [&](int64_t f) {
-        const Miss& miss = misses[static_cast<size_t>(f)];
-        auto& plan = annotated[static_cast<size_t>(f)];
-        plan = requests[miss.req].plans[miss.plan]->Clone();
-        AnnotateEstimates(*requests[miss.req].query, plan.get());
-      };
-      if (pool != nullptr && misses.size() > 1) {
-        pool->ParallelFor(static_cast<int64_t>(misses.size()), annotate);
-      } else {
-        for (size_t f = 0; f < misses.size(); ++f) annotate(static_cast<int64_t>(f));
+      for (const Miss& miss : misses) {
+        annotated.push_back(requests[miss.req].plans[miss.plan]->Clone());
+        AnnotateEstimates(*requests[miss.req].query, annotated.back().get());
       }
     }
 
@@ -481,7 +472,7 @@ std::vector<std::vector<query::NodeStats>> QpSeeker::PredictPlansMulti(
 }
 
 query::NodeStats QpSeeker::PredictPlan(const Query& q, const PlanNode& plan) const {
-  return PredictPlansBatch(q, {&plan}, nullptr)[0];
+  return PredictPlansBatch(q, {&plan})[0];
 }
 
 query::NodeStats QpSeeker::PredictPlanReference(const Query& q,

@@ -27,7 +27,6 @@
 #include "optimizer/cost_model.h"
 #include "sampling/plan_sampler.h"
 #include "util/scale.h"
-#include "util/threadpool.h"
 
 namespace qps {
 namespace core {
@@ -104,23 +103,21 @@ class QpSeeker {
 
   /// Batched predictions for N candidate plans of one query: one query
   /// encoding, height-batched plan encoding, and one (N x d) VAE/head pass
-  /// instead of N GEMVs. When `pool` is given, per-plan annotation is
-  /// sharded across it (results are bit-identical either way). Cached plans
-  /// skip evaluation entirely. A one-request PredictPlansMulti.
+  /// instead of N GEMVs. Cached plans skip evaluation entirely. A
+  /// one-request PredictPlansMulti.
   std::vector<query::NodeStats> PredictPlansBatch(
-      const query::Query& q, const std::vector<const query::PlanNode*>& plans,
-      util::ThreadPool* pool = nullptr) const;
+      const query::Query& q,
+      const std::vector<const query::PlanNode*>& plans) const;
 
   /// The one batched inference path: candidate batches from *different*
   /// queries share one VAE/head forward. Cache consultation, dedup and
   /// encoding run per request; only the final dense pass is stacked.
   /// Because every GEMM kernel accumulates each output row in the same
   /// k-order regardless of batch row count, result[r] is bit-identical to
-  /// PredictPlansBatch(*requests[r].query, requests[r].plans, pool) —
+  /// PredictPlansBatch(*requests[r].query, requests[r].plans) —
   /// the property the serving layer's determinism contract rests on.
   std::vector<std::vector<query::NodeStats>> PredictPlansMulti(
-      const std::vector<PlanEvalRequest>& requests,
-      util::ThreadPool* pool = nullptr) const;
+      const std::vector<PlanEvalRequest>& requests) const;
 
   /// Reference implementation of PredictPlan through the autograd graph —
   /// slow, kept as the ground truth for batched-equivalence tests.

@@ -237,8 +237,9 @@ void Gemm(GemmLayout layout, const Tensor& a, const Tensor& b, Tensor* out,
     return;
   }
 
-  // Packing scratch. thread_local so concurrent GEMMs (pool-sharded plan
-  // evaluation) never share buffers, and repeated calls reuse the capacity.
+  // Packing scratch. thread_local so concurrent GEMMs (serving workers
+  // sharing one model) never share buffers, and repeated calls reuse the
+  // capacity.
   thread_local std::vector<float> a_pack;
   thread_local std::vector<float> b_pack;
 

@@ -74,6 +74,7 @@
 #include "serve/batch_rendezvous.h"
 #include "serve/retry.h"
 #include "util/cancel.h"
+#include "util/threadpool.h"
 
 namespace qps {
 namespace core {

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "core/mcts.h"
+#include "core/plan_cache.h"
 #include "core/qpseeker.h"
 #include "query/parser.h"
 #include "storage/schemas.h"
@@ -296,6 +299,82 @@ TEST_F(CoreTest, GreedyPlannerProducesValidPlan) {
   auto result = GreedyPlan(seeker, *q);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->plan->RelMask(), 0b111u);
+}
+
+// MctsPlan and GreedyPlan take every per-request setting from the
+// PlanRequestOptions they are handed: the seed override, the batch
+// evaluator and the cancel token.
+TEST_F(CoreTest, PlannersHonourTheRequest) {
+  QpSeeker seeker = MakeTrained();
+  auto q = query::ParseSql(
+      "SELECT COUNT(*) FROM a, b, c WHERE b.b1 = a.id AND c.c1 = b.id;", *db_);
+  ASSERT_TRUE(q.ok());
+  MctsOptions search;
+  search.time_budget_ms = 1e9;  // rollout-capped
+  search.max_rollouts = 40;
+  search.eval_batch = 4;
+
+  // A hook that records every plan it scores, then scores it directly.
+  std::vector<uint64_t> seen;
+  PlanRequestOptions recording;
+  recording.evaluate = [&](const query::Query& rq,
+                           const std::vector<const query::PlanNode*>& plans) {
+    for (const auto* p : plans) seen.push_back(PlanShapeHash(*p));
+    return seeker.PredictPlansBatch(rq, plans);
+  };
+  const auto trace = [&](const MctsOptions& so, PlanRequestOptions ro) {
+    seen.clear();
+    ro.evaluate = recording.evaluate;
+    auto r = MctsPlan(seeker, *q, so, ro);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(seen.size(), static_cast<size_t>(r->plans_evaluated));
+    return std::make_pair(std::move(r).value(), seen);
+  };
+
+  // request.seed == setting search.seed, rollout for rollout.
+  MctsOptions seeded = search;
+  seeded.seed = 5;
+  PlanRequestOptions with_seed;
+  with_seed.seed = 5;
+  const auto [by_request, request_trace] = trace(search, with_seed);
+  const auto [by_search, search_trace] = trace(seeded, {});
+  const auto [by_default, default_trace] = trace(search, {});
+  EXPECT_EQ(request_trace, search_trace);
+  EXPECT_NE(request_trace, default_trace) << "the seed override was ignored";
+  EXPECT_EQ(by_request.plan->ToString(*db_, *q, false),
+            by_search.plan->ToString(*db_, *q, false));
+
+  // The hook sees exactly the plans_evaluated candidates and yields the
+  // plan of the direct model call.
+  auto direct = MctsPlan(seeker, *q, seeded);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(by_search.plan->ToString(*db_, *q, false),
+            direct->plan->ToString(*db_, *q, false));
+  EXPECT_EQ(by_search.predicted_runtime_ms, direct->predicted_runtime_ms);
+  EXPECT_EQ(by_search.plans_evaluated, direct->plans_evaluated);
+
+  seen.clear();
+  auto greedy = GreedyPlan(seeker, *q, recording);
+  auto greedy_direct = GreedyPlan(seeker, *q);
+  ASSERT_TRUE(greedy.ok() && greedy_direct.ok());
+  // The step candidates, plus the final score of the chosen plan.
+  EXPECT_EQ(seen.size(), static_cast<size_t>(greedy->plans_evaluated) + 1);
+  EXPECT_EQ(greedy->plan->ToString(*db_, *q, false),
+            greedy_direct->plan->ToString(*db_, *q, false));
+  EXPECT_EQ(greedy->predicted_runtime_ms, greedy_direct->predicted_runtime_ms);
+
+  // A pre-cancelled request aborts before the hook is ever called.
+  util::CancelToken cancel;
+  cancel.Cancel();
+  PlanRequestOptions cancelled = recording;
+  cancelled.cancel = &cancel;
+  seen.clear();
+  const auto mcts_aborted = MctsPlan(seeker, *q, search, cancelled);
+  const auto greedy_aborted = GreedyPlan(seeker, *q, cancelled);
+  EXPECT_TRUE(mcts_aborted.status().IsAborted()) << mcts_aborted.status().ToString();
+  EXPECT_TRUE(greedy_aborted.status().IsAborted())
+      << greedy_aborted.status().ToString();
+  EXPECT_TRUE(seen.empty());
 }
 
 TEST_F(CoreTest, SaveLoadRoundTripsPredictions) {

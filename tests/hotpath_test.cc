@@ -1,9 +1,9 @@
 // Copyright 2026 The QPSeeker Authors
 //
 // Inference hot-path tests: tiled GEMM vs. a naive reference, batched
-// model forward vs. the autograd reference path, parallel-MCTS determinism
-// across thread counts, concurrent forwards on one cold model, and the
-// plan-prediction cache.
+// model forward vs. the autograd reference path, fused multi-query
+// forwards, concurrent forwards on one cold model, and the plan-prediction
+// cache.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "nn/tensor.h"
 #include "query/parser.h"
 #include "storage/schemas.h"
-#include "util/threadpool.h"
 
 namespace qps {
 namespace core {
@@ -135,7 +134,7 @@ TEST(TiledGemmDeathTest, OutputShapeMismatchReportsShapes) {
 #endif
 
 // ---------------------------------------------------------------------------
-// Batched forward, parallel MCTS, prediction cache
+// Batched forward, prediction cache
 // ---------------------------------------------------------------------------
 
 class HotPathTest : public ::testing::Test {
@@ -229,22 +228,6 @@ TEST_F(HotPathTest, BatchOfOneMatchesPredictPlan) {
   EXPECT_EQ(batch[0].cardinality, single.cardinality);
   EXPECT_EQ(batch[0].cost, single.cost);
   EXPECT_EQ(batch[0].runtime_ms, single.runtime_ms);
-}
-
-TEST_F(HotPathTest, PoolShardedBatchMatchesSerialBatch) {
-  QpSeeker seeker = MakeTrained();
-  int qid = 0;
-  const auto plans = PlansOfFirstQuery(&qid);
-  const auto& q = dataset_.queries[static_cast<size_t>(qid)];
-  const auto serial = seeker.PredictPlansBatch(q, plans, /*pool=*/nullptr);
-  util::ThreadPool pool(3);
-  const auto sharded = seeker.PredictPlansBatch(q, plans, &pool);
-  ASSERT_EQ(serial.size(), sharded.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].cardinality, sharded[i].cardinality) << "plan " << i;
-    EXPECT_EQ(serial[i].cost, sharded[i].cost) << "plan " << i;
-    EXPECT_EQ(serial[i].runtime_ms, sharded[i].runtime_ms) << "plan " << i;
-  }
 }
 
 TEST_F(HotPathTest, MultiQueryFusedForwardMatchesPerQueryBatches) {
@@ -361,38 +344,6 @@ TEST_F(HotPathTest, ColdModelServesConcurrentForwardsBitIdentically) {
     }
   }
   std::remove(path.c_str());
-}
-
-TEST_F(HotPathTest, MctsDeterministicAcrossThreadCounts) {
-  QpSeeker seeker = MakeTrained();
-  auto q = query::ParseSql(
-      "SELECT COUNT(*) FROM a, b, c WHERE b.b1 = a.id AND c.c1 = b.id;", *db_);
-  ASSERT_TRUE(q.ok());
-
-  auto run = [&](int threads) {
-    MctsOptions mopts;
-    mopts.time_budget_ms = 1e9;  // rollout-capped for determinism
-    mopts.max_rollouts = 40;
-    mopts.seed = 5;
-    mopts.threads = threads;
-    mopts.eval_batch = 8;  // fixed: auto-batch scales with threads
-    auto r = MctsPlan(seeker, *q, mopts);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return std::move(r).value();
-  };
-
-  const auto base = run(1);
-  ASSERT_NE(base.plan, nullptr);
-  const std::string base_str = base.plan->ToString(*db_, *q, false);
-  for (int threads = 2; threads <= 4; ++threads) {
-    const auto r = run(threads);
-    ASSERT_NE(r.plan, nullptr);
-    EXPECT_EQ(r.plan->ToString(*db_, *q, false), base_str)
-        << "threads=" << threads;
-    EXPECT_EQ(r.predicted_runtime_ms, base.predicted_runtime_ms)
-        << "threads=" << threads;
-    EXPECT_EQ(r.plans_evaluated, base.plans_evaluated) << "threads=" << threads;
-  }
 }
 
 TEST_F(HotPathTest, MctsCacheDoesNotAlterPlanningResults) {
