@@ -51,8 +51,9 @@ echo "== tier-1: forced-scalar int8 kernel leg (QPS_FORCE_SCALAR=1) =="
 # The int8 GEMM dispatches to SIMD kernels at runtime; this leg pins the
 # portable scalar kernel and re-runs the tests that exercise quantized
 # inference, so a host without AVX2 is covered from an AVX-512 CI box.
+# hotpath_test pins that the request memo stays exact on this kernel too.
 (cd build && QPS_FORCE_SCALAR=1 ctest --output-on-failure \
-  -R "quant_test|nn_test|model_manager_test|checkpoint_test")
+  -R "quant_test|nn_test|model_manager_test|checkpoint_test|hotpath_test")
 
 echo "== tier-1: TSan build (threadpool + hot-path + ladder + serving + golden plans + obs + fuzz-replay + storage tests) =="
 cmake -B build-tsan -S . -DQPS_SANITIZE=THREAD >/dev/null

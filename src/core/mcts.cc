@@ -150,6 +150,10 @@ StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
                                ? std::min(search.time_budget_ms, request.deadline_ms)
                                : search.time_budget_ms;
 
+  // Subtrees, query embedding and attention projections already encoded
+  // for this request, reused by every batch scored on the model directly.
+  EvalMemo memo;
+
   const int n = q.num_relations();
   while (result.plans_evaluated < search.max_rollouts &&
          (result.plans_evaluated == 0 || timer.ElapsedMillis() < budget_ms)) {
@@ -250,7 +254,7 @@ StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
     for (const auto& c : batch) plan_ptrs.push_back(c.plan.get());
     const std::vector<query::NodeStats> preds =
         request.evaluate ? request.evaluate(q, plan_ptrs)
-                         : model.PredictPlansBatch(q, plan_ptrs);
+                         : model.PredictPlansBatch(q, plan_ptrs, &memo);
 
     // 5. Backpropagation, serially in selection order: a node earns one
     // reward unit each time it is part of the best plan discovered so far.
@@ -293,6 +297,7 @@ StatusOr<MctsResult> GreedyPlan(const QpSeeker& model, const Query& q,
   plans_counter->Increment();
   Timer timer;
   MctsResult result;
+  EvalMemo memo;  // as in MctsPlan
   std::vector<Action> prefix;
   const int n = q.num_relations();
   for (int step = 0; step < n; ++step) {
@@ -326,7 +331,7 @@ StatusOr<MctsResult> GreedyPlan(const QpSeeker& model, const Query& q,
     for (const auto& p : step_plans) ptrs.push_back(p.get());
     const std::vector<query::NodeStats> preds =
         request.evaluate ? request.evaluate(q, ptrs)
-                         : model.PredictPlansBatch(q, ptrs);
+                         : model.PredictPlansBatch(q, ptrs, &memo);
 
     Action best_action;
     double best_runtime = INFINITY;
@@ -352,8 +357,9 @@ StatusOr<MctsResult> GreedyPlan(const QpSeeker& model, const Query& q,
   // so a served request's every forward rides (and is counted by) the
   // serving layer's rendezvous.
   result.predicted_runtime_ms =
-      request.evaluate ? request.evaluate(q, {result.plan.get()})[0].runtime_ms
-                       : model.PredictPlan(q, *result.plan).runtime_ms;
+      request.evaluate
+          ? request.evaluate(q, {result.plan.get()})[0].runtime_ms
+          : model.PredictPlansBatch(q, {result.plan.get()}, &memo)[0].runtime_ms;
   result.planning_ms = timer.ElapsedMillis();
   span.AddAttr("plans_evaluated", result.plans_evaluated);
   return result;

@@ -172,32 +172,32 @@ inline void MicroKernelRagged(int64_t mr, int64_t nr, int64_t kc,
 // Dedicated m == 1 GEMV for row-major operands: c(1 x n) += a(1 x k) @
 // b(k x n). The tile kernels carry only kNr accumulator lanes per row,
 // which for a single row is too few independent FMA chains to hide
-// latency; here each 64-wide column strip keeps 64 lanes live across the
-// whole k loop. Accumulation order over p matches the tile kernels, so
-// results are identical to the blocked path.
+// latency; here each 64-wide column strip keeps 64 lanes live across a
+// k-block. The accumulation order matches the tile kernels exactly: fresh
+// accumulators per kKc-deep block, each block's sums added into c in block
+// order. So a row computed alone is bit-identical to the same row inside
+// a batch, for every k.
 constexpr int64_t kNv = 64;
+
+inline void GemvStrip(int64_t kc, int64_t n, int64_t nv, const float* QPS_RESTRICT a,
+                      const float* QPS_RESTRICT b, float* QPS_RESTRICT c) {
+  float acc[kNv] = {};
+  for (int64_t p = 0; p < kc; ++p) {
+    const float av = a[p];
+    const float* QPS_RESTRICT brow = b + p * n;
+    for (int64_t j = 0; j < nv; ++j) acc[j] += av * brow[j];
+  }
+  for (int64_t j = 0; j < nv; ++j) c[j] += acc[j];
+}
 
 inline void GemvRowMajor(int64_t k, int64_t n, const float* QPS_RESTRICT a,
                          const float* QPS_RESTRICT b, float* QPS_RESTRICT c) {
-  int64_t j0 = 0;
-  for (; j0 + kNv <= n; j0 += kNv) {
-    float acc[kNv] = {};
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = a[p];
-      const float* QPS_RESTRICT brow = b + p * n + j0;
-      for (int64_t j = 0; j < kNv; ++j) acc[j] += av * brow[j];
-    }
-    for (int64_t j = 0; j < kNv; ++j) c[j0 + j] += acc[j];
-  }
-  if (j0 < n) {
-    const int64_t nv = n - j0;
-    float acc[kNv] = {};
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = a[p];
-      const float* QPS_RESTRICT brow = b + p * n + j0;
-      for (int64_t j = 0; j < nv; ++j) acc[j] += av * brow[j];
-    }
-    for (int64_t j = 0; j < nv; ++j) c[j0 + j] += acc[j];
+  for (int64_t p0 = 0; p0 < k; p0 += kKc) {
+    const int64_t kc = std::min(kKc, k - p0);
+    const float* bp = b + p0 * n;
+    int64_t j0 = 0;
+    for (; j0 + kNv <= n; j0 += kNv) GemvStrip(kc, n, kNv, a + p0, bp + j0, c + j0);
+    if (j0 < n) GemvStrip(kc, n, n - j0, a + p0, bp + j0, c + j0);
   }
 }
 

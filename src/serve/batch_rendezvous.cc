@@ -48,7 +48,7 @@ void BatchRendezvous::FlushLocked(std::unique_lock<std::mutex>& lk) {
   requests.reserve(batch.size());
   int64_t total_plans = 0;
   for (Pending* p : batch) {
-    requests.push_back(core::PlanEvalRequest{p->query, *p->plans});
+    requests.push_back(core::PlanEvalRequest{p->query, *p->plans, p->memo});
     total_plans += static_cast<int64_t>(p->plans->size());
   }
   std::vector<std::vector<query::NodeStats>> fused;
@@ -79,10 +79,12 @@ void BatchRendezvous::FlushLocked(std::unique_lock<std::mutex>& lk) {
 }
 
 std::vector<query::NodeStats> BatchRendezvous::Evaluate(
-    const query::Query& q, const std::vector<const query::PlanNode*>& plans) {
+    const query::Query& q, const std::vector<const query::PlanNode*>& plans,
+    core::EvalMemo* memo) {
   Pending pending;
   pending.query = &q;
   pending.plans = &plans;
+  pending.memo = memo;
 
   std::unique_lock<std::mutex> lk(mu_);
   waiting_.push_back(&pending);

@@ -22,8 +22,12 @@
 //     of one request, and PredictPlansMulti encodes, dedups and caches per
 //     request over row-independent dense kernels, so the NodeStats a
 //     request receives are bit-identical no matter which other queries it
-//     shared a flush with — including sharing with none. Plans produced
-//     under load are therefore bit-identical to serial planning.
+//     shared a flush with — including sharing with none. Each parked call
+//     carries its own request's core::EvalMemo, so a fused flush encodes
+//     every request through that request's memo and never shares encoded
+//     rows between requests; what a memo holds changes only how much is
+//     computed, not the bits. Plans produced under load are therefore
+//     bit-identical to serial planning.
 
 #ifndef QPS_SERVE_BATCH_RENDEZVOUS_H_
 #define QPS_SERVE_BATCH_RENDEZVOUS_H_
@@ -85,8 +89,12 @@ class BatchRendezvous {
   /// Evaluates `plans` for `q`, fused with whatever other requests are in
   /// flight. Blocks until the result is available. Safe to call from many
   /// threads; results match QpSeeker::PredictPlansBatch bit for bit.
+  /// `memo` is the calling request's (core::EvalMemo; null = none); the
+  /// flush that serves this call encodes through it, whichever thread
+  /// leads that flush.
   std::vector<query::NodeStats> Evaluate(
-      const query::Query& q, const std::vector<const query::PlanNode*>& plans);
+      const query::Query& q, const std::vector<const query::PlanNode*>& plans,
+      core::EvalMemo* memo = nullptr);
 
   /// Concurrency hint: how many planning requests are currently in flight.
   /// The flush target is min(expected, max_batch), clamped to >= 1.
@@ -96,6 +104,7 @@ class BatchRendezvous {
   struct Pending {
     const query::Query* query = nullptr;
     const std::vector<const query::PlanNode*>* plans = nullptr;
+    core::EvalMemo* memo = nullptr;
     std::vector<query::NodeStats> result;
     bool done = false;
   };

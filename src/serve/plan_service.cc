@@ -216,6 +216,10 @@ void PlanService::Plan(const RequestPtr& req) {
     // The snapshot keeps planner, rendezvous and model alive for the whole
     // attempt, even if a swap publishes a new generation meanwhile.
     const std::shared_ptr<const Generation> gen = CurrentGeneration();
+    // One memo per attempt, declared before the hook that points at it:
+    // every evaluation of this attempt reuses what the earlier ones
+    // encoded, and a retry starts afresh.
+    core::EvalMemo memo;
     core::PlanRequestOptions ropts;
     // A retry plans under what is left of the deadline, on the clock
     // FitsBudget gates the backoff with (time since Submit), floored at the
@@ -231,9 +235,9 @@ void PlanService::Plan(const RequestPtr& req) {
     ropts.cancel = req->cancel();
     if (BatchRendezvous* rdv = gen->rendezvous.get(); rdv != nullptr) {
       rdv->SetExpected(inflight);
-      ropts.evaluate = [rdv](const query::Query& q,
-                             const std::vector<const query::PlanNode*>& plans) {
-        return rdv->Evaluate(q, plans);
+      ropts.evaluate = [rdv, &memo](const query::Query& q,
+                                    const std::vector<const query::PlanNode*>& plans) {
+        return rdv->Evaluate(q, plans, &memo);
       };
     }
     auto planned = gen->planner->Plan(req->request.query, ropts);
