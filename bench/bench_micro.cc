@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
@@ -229,6 +230,44 @@ void BM_LstmCellStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LstmCellStep);
+
+// The inference tree-LSTM step at the plan encoder's ci widths (139 -> 64)
+// over `range(0)` rows: the gate GEMM plus the sigmoid/tanh span kernels.
+void BM_LstmCellForwardTensor(benchmark::State& state) {
+  Rng rng(3);
+  const int64_t batch = state.range(0);
+  nn::LstmCell cell(139, 64, &rng);
+  const nn::Tensor in = nn::Tensor::Randn(batch, 139, &rng);
+  nn::Tensor h(batch, 64), c(batch, 64);
+  for (auto _ : state) {
+    cell.ForwardTensor(in, &h, &c);
+    benchmark::DoNotOptimize(h.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_LstmCellForwardTensor)->Arg(1)->Arg(4)->Arg(16);
+
+// Inference attention for `range(0)` plans of 9 nodes each (a 5-relation
+// plan) over a 64-row pool of projected keys and values, at ci widths:
+// one AttendRows call, as EncodeQepRows makes per PredictPlansMulti call.
+void BM_AttendRows(benchmark::State& state) {
+  Rng rng(4);
+  const int plans = static_cast<int>(state.range(0));
+  nn::MultiHeadCrossAttention attn(64, 64, 4, 16, 128, &rng);
+  nn::Tensor q_heads, keys, values, out;
+  attn.ProjectQuery(nn::Tensor::Randn(1, 64, &rng), &q_heads);
+  attn.ProjectContext(nn::Tensor::Randn(64, 64, &rng), &keys, &values);
+  std::vector<std::vector<int>> rows(static_cast<size_t>(plans), std::vector<int>(9));
+  for (auto& plan : rows) {
+    for (int& r : plan) r = static_cast<int>(rng.UniformInt(0, 63));
+  }
+  for (auto _ : state) {
+    attn.AttendRows(q_heads, keys.data(), values.data(), rows, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * plans);
+}
+BENCHMARK(BM_AttendRows)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_CrossAttention(benchmark::State& state) {
   Rng rng(4);

@@ -42,6 +42,16 @@ if grep -rnE "ThreadPool|std::thread|std::async" \
   exit 1
 fi
 
+echo "== tier-1: one-activation lint (src/nn, src/encoder, src/core) =="
+# Sigmoid and tanh have one implementation, the span kernels in
+# src/nn/tensor.cc, shared by training and inference: a libm copy would
+# compute other bits in one path than in the other and move plans.
+if grep -rnF -e 'std::tanh(' -e '1.0f / (1.0f + std::exp' \
+    src/nn src/encoder src/core; then
+  echo "error: use nn::SigmoidInPlace / nn::TanhInPlace (src/nn/tensor.h)" >&2
+  exit 1
+fi
+
 echo "== tier-1: release build + full ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j

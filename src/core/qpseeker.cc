@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <unordered_map>
+#include <utility>
 
 #include "nn/optim.h"
 #include "nn/serialize.h"
@@ -347,9 +349,8 @@ void QpSeeker::EncodeQepRows(const Query& q,
   const size_t node_bytes = sizeof(float) * static_cast<size_t>(node_dim);
   QPS_TRACE_SPAN("encode.attention");
   // Keys and values of the subtrees this call added, one GEMM per head
-  // over all of them; attention contexts differ per plan (different node
-  // counts), so the attention itself runs per plan over gathered rows.
-  const int64_t kv = attention_->kv_width();
+  // over all of them; then every attended plan of the call in one pass,
+  // reading its rows' keys and values from the memo in place.
   if (config_.use_attention && memo->plan_.rows() > before) {
     nn::Tensor added(memo->plan_.rows() - before, node_dim), keys, values;
     for (int64_t r = 0; r < added.rows(); ++r) {
@@ -360,29 +361,30 @@ void QpSeeker::EncodeQepRows(const Query& q,
     memo->values_.insert(memo->values_.end(), values.data(),
                          values.data() + values.size());
   }
-  nn::Tensor keys, values, one;
+  std::vector<std::vector<int>> attended_rows;
+  std::vector<int64_t> attended_at;  // qep row of each attended plan
   for (size_t p = 0; p < plan_rows.size(); ++p) {
-    float* row = qep->data() + (first_row + static_cast<int64_t>(p)) * qep_dim;
-    const std::vector<int>& rows = plan_rows[p];
+    const int64_t at = first_row + static_cast<int64_t>(p);
+    std::vector<int>& rows = plan_rows[p];
     if (config_.use_attention && encoder::QpAttention::Attends(rows.size())) {
-      const int64_t n = static_cast<int64_t>(rows.size());
-      const size_t kv_bytes = sizeof(float) * static_cast<size_t>(kv);
-      keys = nn::Tensor(n, kv);
-      values = nn::Tensor(n, kv);
-      for (int64_t i = 0; i < n; ++i) {
-        const size_t src = static_cast<size_t>(rows[static_cast<size_t>(i)] * kv);
-        std::memcpy(keys.data() + i * kv, memo->keys_.data() + src, kv_bytes);
-        std::memcpy(values.data() + i * kv, memo->values_.data() + src, kv_bytes);
-      }
-      attention_->Attend(memo->query_heads_, keys, values, &one);
-      std::memcpy(row, one.data(), sizeof(float) * static_cast<size_t>(qep_dim));
-    } else {
-      // Concatenation of the query and plan-root embeddings: the
-      // no-attention ablation, and every plan QPAttention does not attend.
-      std::memcpy(row, query_emb.data(),
-                  sizeof(float) * static_cast<size_t>(query_emb.cols()));
-      std::memcpy(row + query_emb.cols(), memo->plan_.output(rows.back()), node_bytes);
+      attended_rows.push_back(std::move(rows));
+      attended_at.push_back(at);
+      continue;
     }
+    // Concatenation of the query and plan-root embeddings: the
+    // no-attention ablation, and every plan QPAttention does not attend.
+    float* row = qep->data() + at * qep_dim;
+    std::memcpy(row, query_emb.data(), sizeof(float) * static_cast<size_t>(query_emb.cols()));
+    std::memcpy(row + query_emb.cols(), memo->plan_.output(rows.back()), node_bytes);
+  }
+  if (attended_rows.empty()) return;
+  nn::Tensor attended;
+  attention_->AttendRows(memo->query_heads_, memo->keys_.data(), memo->values_.data(),
+                         attended_rows, &attended);
+  for (size_t i = 0; i < attended_at.size(); ++i) {
+    std::memcpy(qep->data() + attended_at[i] * qep_dim,
+                attended.data() + static_cast<int64_t>(i) * qep_dim,
+                sizeof(float) * static_cast<size_t>(qep_dim));
   }
 }
 
@@ -580,7 +582,10 @@ nn::Tensor QpSeeker::AttentionScores(const Query& q, const PlanNode& plan) const
   query_encoder_->EncodeTensor(q, &query_emb);
   attention_->ProjectQuery(query_emb, &q_heads);
   attention_->ProjectNodes(nodes, &keys, &values);
-  attention_->Attend(q_heads, keys, values, &qep, &scores);
+  std::vector<int> rows(static_cast<size_t>(nodes.rows()));
+  std::iota(rows.begin(), rows.end(), 0);
+  attention_->AttendRows(q_heads, keys.data(), values.data(), {std::move(rows)}, &qep,
+                         &scores);
   return scores;
 }
 

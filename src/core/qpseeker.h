@@ -124,8 +124,8 @@ class EvalMemo {
   nn::Tensor query_emb_;    ///< 1 x query_dim
   nn::Tensor query_heads_;  ///< (heads, head_dim): query_emb_ @ Wq, per head
   encoder::PlanEncoder::Memo plan_;
-  /// Attention keys and values of every subtree row, rows x kv_width each
-  /// (empty when attention is ablated).
+  /// Attention keys and values of every subtree row, rows x (heads x
+  /// head_dim) each (empty when attention is ablated).
   std::vector<float> keys_, values_;
 };
 

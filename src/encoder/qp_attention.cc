@@ -35,10 +35,11 @@ void QpAttention::ProjectNodes(const nn::Tensor& node_rows, nn::Tensor* keys,
   attn_->ProjectContext(node_rows, keys, values);
 }
 
-void QpAttention::Attend(const nn::Tensor& q_heads, const nn::Tensor& keys,
-                         const nn::Tensor& values, nn::Tensor* out,
-                         nn::Tensor* scores) const {
-  attn_->Attend(q_heads, keys, values, out, scores);
+void QpAttention::AttendRows(const nn::Tensor& q_heads, const float* keys,
+                             const float* values,
+                             const std::vector<std::vector<int>>& plan_rows,
+                             nn::Tensor* out, nn::Tensor* scores) const {
+  attn_->AttendRows(q_heads, keys, values, plan_rows, out, scores);
 }
 
 }  // namespace encoder

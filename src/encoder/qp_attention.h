@@ -10,6 +10,7 @@
 #define QPS_ENCODER_QP_ATTENTION_H_
 
 #include <memory>
+#include <vector>
 
 #include "encoder/plan_encoder.h"
 
@@ -33,16 +34,17 @@ class QpAttention : public nn::Module {
 
   /// Autograd-free inference for plans that Attends(), in three steps, so
   /// a caller scoring many plans of one query (core::EvalMemo) projects
-  /// the query once and each distinct node row once, then attends per plan
-  /// over that plan's gathered key/value rows. Keys and values are
-  /// (rows, kv_width()); `scores` as in Combine.
+  /// the query once and each distinct node row once, then attends every
+  /// plan in one pass over its key/value rows, read in place by row id.
+  /// Keys and values are row-major, one column per head dimension of every
+  /// head; AttendRows writes one out_dim() row per plan, and `scores` (one
+  /// plan only) as in Combine.
   void ProjectQuery(const nn::Tensor& query_emb, nn::Tensor* q_heads) const;
   void ProjectNodes(const nn::Tensor& node_rows, nn::Tensor* keys,
                     nn::Tensor* values) const;
-  void Attend(const nn::Tensor& q_heads, const nn::Tensor& keys,
-              const nn::Tensor& values, nn::Tensor* out,
-              nn::Tensor* scores = nullptr) const;
-  int64_t kv_width() const { return attn_->heads() * attn_->head_dim(); }
+  void AttendRows(const nn::Tensor& q_heads, const float* keys, const float* values,
+                  const std::vector<std::vector<int>>& plan_rows, nn::Tensor* out,
+                  nn::Tensor* scores = nullptr) const;
 
   /// Output width == query embedding + plan node vector (paper: "a vector
   /// with size equal to the sum of the query and plan embedding vectors").

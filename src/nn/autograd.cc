@@ -35,14 +35,10 @@ Var MakeOp(Tensor value, std::vector<Var> parents) {
   return node;
 }
 
-/// Elementwise unary op: value = f(a), da += dvalue * f'(a) (expressed via
-/// the output value y where convenient).
-template <typename FwdFn, typename BwdFn>
-Var UnaryOp(const Var& a, FwdFn fwd, BwdFn grad_from) {
-  Tensor out(a->value.rows(), a->value.cols());
-  const float* in = a->value.data();
-  float* o = out.data();
-  for (int64_t i = 0; i < out.size(); ++i) o[i] = fwd(in[i]);
+/// Elementwise unary node with value `out` = f(a): da += dvalue * f'(a)
+/// (expressed via the output value y where convenient).
+template <typename BwdFn>
+Var UnaryNode(const Var& a, Tensor out, BwdFn grad_from) {
   Var node = MakeOp(std::move(out), {a});
   Node* self = node.get();
   Var pa = a;
@@ -58,6 +54,16 @@ Var UnaryOp(const Var& a, FwdFn fwd, BwdFn grad_from) {
     }
   };
   return node;
+}
+
+/// Elementwise unary op: value = fwd(a), mapped per element.
+template <typename FwdFn, typename BwdFn>
+Var UnaryOp(const Var& a, FwdFn fwd, BwdFn grad_from) {
+  Tensor out(a->value.rows(), a->value.cols());
+  const float* in = a->value.data();
+  float* o = out.data();
+  for (int64_t i = 0; i < out.size(); ++i) o[i] = fwd(in[i]);
+  return UnaryNode(a, std::move(out), grad_from);
 }
 
 }  // namespace
@@ -200,16 +206,18 @@ Var AddScalar(const Var& a, float s) {
 
 Var Neg(const Var& a) { return Scale(a, -1.0f); }
 
+// Forward values come from the span kernels inference uses, so training
+// and serving compute the same activation bits.
 Var Sigmoid(const Var& a) {
-  return UnaryOp(
-      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-      [](float, float y) { return y * (1.0f - y); });
+  Tensor out = a->value;
+  SigmoidInPlace(&out);
+  return UnaryNode(a, std::move(out), [](float, float y) { return y * (1.0f - y); });
 }
 
 Var Tanh(const Var& a) {
-  return UnaryOp(
-      a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; });
+  Tensor out = a->value;
+  TanhInPlace(&out);
+  return UnaryNode(a, std::move(out), [](float, float y) { return 1.0f - y * y; });
 }
 
 Var Relu(const Var& a) {

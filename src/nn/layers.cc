@@ -255,18 +255,24 @@ void LstmCell::ForwardTensor(const Tensor& x, Tensor* h, Tensor* c) const {
     Gemm(GemmLayout::kNone, xh, w_->value, &gates, /*accumulate=*/false);
     AddRowBroadcastInPlace(&gates, b_->value);
   }
+  // Same elementwise math as Forward: the gates through the shared span
+  // kernels, then c = f * c + i * g and h = o * tanh(c).
   for (int64_t r = 0; r < batch; ++r) {
-    const float* g = gates.data() + r * 4 * hidden_;
+    float* ig = gates.data() + r * 4 * hidden_;
+    float* fg = ig + hidden_;
+    float* gg = ig + 2 * hidden_;
+    float* og = ig + 3 * hidden_;
     float* hr = h->data() + r * hidden_;
     float* cr = c->data() + r * hidden_;
+    SigmoidInPlace(ig, 2 * hidden_);  // i and f are adjacent
+    TanhInPlace(gg, hidden_);
+    SigmoidInPlace(og, hidden_);
     for (int64_t j = 0; j < hidden_; ++j) {
-      const float ig = 1.0f / (1.0f + std::exp(-g[j]));
-      const float fg = 1.0f / (1.0f + std::exp(-g[hidden_ + j]));
-      const float gg = std::tanh(g[2 * hidden_ + j]);
-      const float og = 1.0f / (1.0f + std::exp(-g[3 * hidden_ + j]));
-      cr[j] = fg * cr[j] + ig * gg;
-      hr[j] = og * std::tanh(cr[j]);
+      cr[j] = fg[j] * cr[j] + ig[j] * gg[j];
+      hr[j] = cr[j];
     }
+    TanhInPlace(hr, hidden_);
+    for (int64_t j = 0; j < hidden_; ++j) hr[j] = og[j] * hr[j];
   }
 }
 
@@ -341,40 +347,41 @@ void MultiHeadCrossAttention::ProjectContext(const Tensor& context, Tensor* keys
   }
 }
 
-void MultiHeadCrossAttention::Attend(const Tensor& q_heads, const Tensor& keys,
-                                     const Tensor& values, Tensor* out,
-                                     Tensor* scores) const {
+void MultiHeadCrossAttention::AttendRows(const Tensor& q_heads, const float* keys,
+                                         const float* values,
+                                         const std::vector<std::vector<int>>& plan_rows,
+                                         Tensor* out, Tensor* scores) const {
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  const int64_t n = keys.rows();
   const int64_t width = heads_ * head_dim_;
-  QPS_CHECK(q_heads.rows() == heads_ && q_heads.cols() == head_dim_ &&
-            keys.cols() == width && values.rows() == n && values.cols() == width)
-      << "Attend shapes: q " << q_heads.rows() << "x" << q_heads.cols() << ", keys "
-      << keys.rows() << "x" << keys.cols() << ", values " << values.rows() << "x"
-      << values.cols() << " for " << heads_ << " heads of " << head_dim_;
-  if (scores != nullptr) *scores = Tensor(heads_, n);
-  Tensor concat(1, width);
-  Tensor q(1, head_dim_), k(n, head_dim_), v(n, head_dim_);
-  Tensor attn(1, n), head_out(1, head_dim_);
-  for (int h = 0; h < heads_; ++h) {
-    std::memcpy(q.data(), q_heads.data() + h * head_dim_,
-                sizeof(float) * static_cast<size_t>(head_dim_));
-    for (int64_t i = 0; i < n; ++i) {
-      std::memcpy(k.data() + i * head_dim_, keys.data() + i * width + h * head_dim_,
-                  sizeof(float) * static_cast<size_t>(head_dim_));
-      std::memcpy(v.data() + i * head_dim_, values.data() + i * width + h * head_dim_,
-                  sizeof(float) * static_cast<size_t>(head_dim_));
+  const int64_t plans = static_cast<int64_t>(plan_rows.size());
+  QPS_CHECK(q_heads.rows() == heads_ && q_heads.cols() == head_dim_)
+      << "AttendRows query heads " << q_heads.rows() << "x" << q_heads.cols() << " for "
+      << heads_ << " heads of " << head_dim_;
+  QPS_CHECK(scores == nullptr || plans == 1) << "AttendRows scores need exactly one plan";
+  // Row p of `concat` is plan p's heads side by side, each the softmax of
+  // q_h . K_h^T over the plan's rows times V_h. The products round as the
+  // one-row Gemms q_h @ K_h^T and attn @ V_h would over gathered copies.
+  Tensor concat(plans, width);
+  Tensor attn;
+  for (int64_t p = 0; p < plans; ++p) {
+    const std::vector<int>& rows = plan_rows[static_cast<size_t>(p)];
+    const int64_t n = static_cast<int64_t>(rows.size());
+    if (attn.cols() != n) attn = Tensor(1, n);
+    if (scores != nullptr) *scores = Tensor(heads_, n);
+    for (int h = 0; h < heads_; ++h) {
+      const int64_t col = h * head_dim_;
+      GatherDots(q_heads.data() + col, head_dim_, keys + col, width, rows.data(), n,
+                 attn.data());
+      attn.ScaleInPlace(scale);
+      SoftmaxRowsInPlace(&attn);
+      if (scores != nullptr) {
+        std::memcpy(scores->data() + h * n, attn.data(), sizeof(float) * static_cast<size_t>(n));
+      }
+      GatherWeightedSum(attn.data(), values + col, width, rows.data(), n, head_dim_,
+                        concat.data() + p * width + col);
     }
-    Gemm(GemmLayout::kTransB, q, k, &attn, false);  // (1, n)
-    attn.ScaleInPlace(scale);
-    SoftmaxRowsInPlace(&attn);
-    if (scores != nullptr) {
-      for (int64_t j = 0; j < n; ++j) (*scores)(h, j) = attn(0, j);
-    }
-    Gemm(GemmLayout::kNone, attn, v, &head_out, false);
-    std::memcpy(concat.data() + h * head_dim_, head_out.data(),
-                sizeof(float) * static_cast<size_t>(head_dim_));
   }
+  // The output projection is row-independent, so one GEMM serves all plans.
   out_proj_->ForwardTensor(concat, out);
 }
 

@@ -191,7 +191,7 @@ class MultiHeadCrossAttention : public Module {
   Var Forward(const Var& query, const Var& context, Tensor* scores = nullptr) const;
 
   /// The autograd-free inference path, same semantics as Forward, is three
-  /// steps: ProjectQuery, then ProjectContext, then Attend. A caller
+  /// steps: ProjectQuery, then ProjectContext, then AttendRows. A caller
   /// scoring many contexts against one query runs the first step once and
   /// the second once per distinct context row, and gets the same bits.
   ///
@@ -201,14 +201,18 @@ class MultiHeadCrossAttention : public Module {
   /// Step 2: *keys and *values = (n, heads * head_dim); columns
   /// [h * head_dim, (h + 1) * head_dim) of row i are context row i @ Wk[h]
   /// (resp. Wv[h]). Row i depends only on context row i, so rows may be
-  /// projected in any grouping and gathered later.
+  /// projected in any grouping and read later by row id.
   void ProjectContext(const Tensor& context, Tensor* keys, Tensor* values) const;
 
-  /// Step 3: attends the projected query over n projected context rows
-  /// (laid out as ProjectContext writes them) and applies the output
-  /// projection: *out = (1, out_dim), *scores as in Forward.
-  void Attend(const Tensor& q_heads, const Tensor& keys, const Tensor& values,
-              Tensor* out, Tensor* scores = nullptr) const;
+  /// Step 3, for a batch of contexts: plan p attends the projected query
+  /// over the projected context rows plan_rows[p] of `keys` and `values`
+  /// (row-major, heads * head_dim wide, laid out as ProjectContext writes
+  /// them, read in place), then the output projection runs once over all
+  /// plans. *out = (plans, out_dim); row p is bit-identical to attending
+  /// plan p alone. `scores`, only for a single plan, as in Forward.
+  void AttendRows(const Tensor& q_heads, const float* keys, const float* values,
+                  const std::vector<std::vector<int>>& plan_rows, Tensor* out,
+                  Tensor* scores = nullptr) const;
 
   int heads() const { return heads_; }
   int64_t head_dim() const { return head_dim_; }

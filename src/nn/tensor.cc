@@ -3,7 +3,9 @@
 #include "nn/tensor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -223,8 +225,10 @@ void Gemm(GemmLayout layout, const Tensor& a, const Tensor& b, Tensor* out,
       << "Gemm operand base pointer not 32-byte aligned";
   const int64_t k = ka;
 
+  // The clock is read only for calls that record the metric.
   const bool record_metric = m * k * n >= kGemmMetricMinWork;
-  Timer timer;
+  std::optional<Timer> timer;
+  if (record_metric) timer.emplace();
 
   if (!accumulate) out->Fill(0.0f);
   if (m == 0 || n == 0 || k == 0) return;
@@ -233,7 +237,7 @@ void Gemm(GemmLayout layout, const Tensor& a, const Tensor& b, Tensor* out,
   // GEMV kernel (single-plan inference is exactly this shape).
   if (m == 1 && layout == GemmLayout::kNone) {
     GemvRowMajor(k, n, a.data(), b.data(), out->data());
-    if (record_metric) GemmMetrics::Get().gemm_ms->Record(timer.ElapsedMillis());
+    if (record_metric) GemmMetrics::Get().gemm_ms->Record(timer->ElapsedMillis());
     return;
   }
 
@@ -295,7 +299,7 @@ void Gemm(GemmLayout layout, const Tensor& a, const Tensor& b, Tensor* out,
     }
   }
 
-  if (record_metric) GemmMetrics::Get().gemm_ms->Record(timer.ElapsedMillis());
+  if (record_metric) GemmMetrics::Get().gemm_ms->Record(timer->ElapsedMillis());
 }
 
 void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
@@ -310,6 +314,124 @@ void MatMulTransBInto(const Tensor& a, const Tensor& b, Tensor* out, bool accumu
 void MatMulTransAInto(const Tensor& a, const Tensor& b, Tensor* out, bool accumulate) {
   // out (k x n) (+)= a^T (k x m) @ b (m x n) where a is (m x k).
   Gemm(GemmLayout::kTransA, a, b, out, accumulate);
+}
+
+void GatherDots(const float* QPS_RESTRICT q, int64_t d, const float* QPS_RESTRICT base,
+                int64_t stride, const int* QPS_RESTRICT rows, int64_t n,
+                float* QPS_RESTRICT out) {
+  // MicroKernelRagged's accumulation for one row of A: kNr columns (here
+  // gathered rows) keep their own accumulator across a kKc-deep block, and
+  // each block's sums are added into the zeroed output in block order.
+  std::fill(out, out + n, 0.0f);
+  for (int64_t p0 = 0; p0 < d; p0 += kKc) {
+    const int64_t kc = std::min(kKc, d - p0);
+    for (int64_t j0 = 0; j0 < n; j0 += kNr) {
+      const int64_t nr = std::min(kNr, n - j0);
+      const float* col[kNr];
+      for (int64_t j = 0; j < nr; ++j) col[j] = base + rows[j0 + j] * stride + p0;
+      float acc[kNr] = {};
+      for (int64_t p = 0; p < kc; ++p) {
+        const float qv = q[p0 + p];
+        for (int64_t j = 0; j < nr; ++j) acc[j] += qv * col[j][p];
+      }
+      for (int64_t j = 0; j < nr; ++j) out[j0 + j] += acc[j];
+    }
+  }
+}
+
+void GatherWeightedSum(const float* QPS_RESTRICT w, const float* QPS_RESTRICT base,
+                       int64_t stride, const int* QPS_RESTRICT rows, int64_t n, int64_t d,
+                       float* QPS_RESTRICT out) {
+  // GemvRowMajor's accumulation with B's rows read in place: fresh
+  // accumulators per kKc-deep block of rows, added into the zeroed output
+  // in block order.
+  std::fill(out, out + d, 0.0f);
+  for (int64_t p0 = 0; p0 < n; p0 += kKc) {
+    const int64_t kc = std::min(kKc, n - p0);
+    for (int64_t j0 = 0; j0 < d; j0 += kNv) {
+      const int64_t nv = std::min(kNv, d - j0);
+      float acc[kNv] = {};
+      for (int64_t p = 0; p < kc; ++p) {
+        const float wv = w[p0 + p];
+        const float* QPS_RESTRICT brow = base + rows[p0 + p] * stride + j0;
+        for (int64_t j = 0; j < nv; ++j) acc[j] += wv * brow[j];
+      }
+      for (int64_t j = 0; j < nv; ++j) out[j0 + j] += acc[j];
+    }
+  }
+}
+
+namespace {
+
+// exp(x) for the activation kernels, after Cephes' expf: x = n ln2 + r
+// with |r| <= ln2 / 2, exp(r) from a degree-5 polynomial, 2^n from the
+// exponent bits. Written without branches so every span loop that
+// inlines it vectorizes (with -fno-trapping-math, which lets GCC evaluate
+// both sides of a select).
+//
+// The clamp to [-kExpBound, kExpBound] keeps n in [-127, 127]: 2^n is then
+// a normal float or, at n = -127, zero, never an overflowed exponent
+// field. It clamps |x| with one select and puts the sign back with bit
+// operations: a second select on the clamped value would let GCC's jump
+// threading split the loop body into paths, and a loop with paths does
+// not vectorize. NaN clamps to the bound, which keeps the float-to-int
+// conversion defined; the final select returns the NaN.
+constexpr float kExpBound = 88.3762626647949f;
+constexpr float kLog2e = 1.44269504088896341f;
+constexpr float kLn2Hi = 0.693359375f;
+constexpr float kLn2Lo = -2.12194440e-4f;
+
+inline float ExpKernel(float x) {
+  const uint32_t sign = std::bit_cast<uint32_t>(x) & 0x80000000u;
+  const float ax = std::fabs(x);
+  const float axc = ax < kExpBound ? ax : kExpBound;
+  const float xc = std::bit_cast<float>(std::bit_cast<uint32_t>(axc) | sign);
+  // n = floor(xc * log2(e) + 1/2): truncate toward zero, then step down
+  // where truncation rounded a negative value up.
+  const float fx = xc * kLog2e + 0.5f;
+  float fn = static_cast<float>(static_cast<int32_t>(fx));
+  fn = fn > fx ? fn - 1.0f : fn;
+  const float r = (xc - fn * kLn2Hi) - fn * kLn2Lo;
+  const float r2 = r * r;
+  float p = 1.9875691500e-4f;
+  p = p * r + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  const float er = p * r2 + r + 1.0f;
+  const float two_n = std::bit_cast<float>((static_cast<int32_t>(fn) + 127) << 23);
+  const float y = er * two_n;
+  return x != x ? x : y;
+}
+
+// tanh after Cephes' tanhf: an odd polynomial below |x| = 0.625, else
+// 1 - 2 / (exp(2|x|) + 1) with the sign put back by a select. |x| is
+// capped at 9, where tanh is within one ulp of 1, so exp never saturates.
+inline float TanhKernel(float x) {
+  const float ax = std::fabs(x);
+  const float z = x * x;
+  float p = -5.70498872745e-3f;
+  p = p * z + 2.06390887954e-2f;
+  p = p * z - 5.37397155531e-2f;
+  p = p * z + 1.33314422036e-1f;
+  p = p * z - 3.33332819422e-1f;
+  const float small = p * z * x + x;
+  // `ax > 9 ? 9 : ax` keeps a NaN, which ExpKernel then passes through.
+  const float e = ExpKernel(2.0f * (ax > 9.0f ? 9.0f : ax));
+  const float big = 1.0f - 2.0f / (e + 1.0f);
+  const float large = x < 0.0f ? -big : big;
+  return ax < 0.625f ? small : large;
+}
+
+}  // namespace
+
+void SigmoidInPlace(float* QPS_RESTRICT x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) x[i] = 1.0f / (1.0f + ExpKernel(-x[i]));
+}
+
+void TanhInPlace(float* QPS_RESTRICT x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) x[i] = TanhKernel(x[i]);
 }
 
 void AddRowBroadcastInPlace(Tensor* x, const Tensor& row) {
@@ -329,15 +451,9 @@ void ReluInPlace(Tensor* x) {
   for (int64_t i = 0; i < x->size(); ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
 }
 
-void TanhInPlace(Tensor* x) {
-  float* d = x->data();
-  for (int64_t i = 0; i < x->size(); ++i) d[i] = std::tanh(d[i]);
-}
+void TanhInPlace(Tensor* x) { TanhInPlace(x->data(), x->size()); }
 
-void SigmoidInPlace(Tensor* x) {
-  float* d = x->data();
-  for (int64_t i = 0; i < x->size(); ++i) d[i] = 1.0f / (1.0f + std::exp(-d[i]));
-}
+void SigmoidInPlace(Tensor* x) { SigmoidInPlace(x->data(), x->size()); }
 
 void SoftmaxRowsInPlace(Tensor* x) {
   const int64_t n = x->cols();

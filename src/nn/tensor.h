@@ -104,6 +104,30 @@ void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out);
 void MatMulTransBInto(const Tensor& a, const Tensor& b, Tensor* out, bool accumulate);
 void MatMulTransAInto(const Tensor& a, const Tensor& b, Tensor* out, bool accumulate);
 
+/// Gathered products for attention over rows of a shared row-major matrix
+/// `base` (row stride `stride`), read in place through row ids. Each
+/// rounds exactly like the Gemm it replaces, so the results are
+/// bit-identical to gathering the rows into a tensor first:
+///
+/// out[i] = q[0..d) . base[rows[i] * stride + 0..d), for i < n: the one-row
+/// kTransB Gemm q @ K^T.
+void GatherDots(const float* q, int64_t d, const float* base, int64_t stride,
+                const int* rows, int64_t n, float* out);
+/// out[j] = sum over i < n of w[i] * base[rows[i] * stride + j], for j < d:
+/// the one-row kNone Gemm w @ V.
+void GatherWeightedSum(const float* w, const float* base, int64_t stride,
+                       const int* rows, int64_t n, int64_t d, float* out);
+
+/// The sigmoid and tanh of every model layer, training and inference
+/// alike: branch-free span kernels over a Cephes-style exp, within 4e-7
+/// relative error of the exact function on [-20, 20] (DESIGN §9
+/// Activations). An element's result depends on its value alone, never on
+/// its position in the span or the span's length. NaN stays NaN; every
+/// other input, infinities included, maps into [0, 1] (sigmoid) or
+/// [-1, 1] (tanh).
+void SigmoidInPlace(float* x, int64_t n);
+void TanhInPlace(float* x, int64_t n);
+
 /// In-place elementwise helpers for the autograd-free inference path, where
 /// activations do not need to preserve their inputs for a backward pass.
 void AddRowBroadcastInPlace(Tensor* x, const Tensor& row);  ///< x[i,:] += row

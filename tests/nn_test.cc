@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
+#include <vector>
 
 #include "nn/autograd.h"
 #include "nn/layers.h"
@@ -466,6 +471,271 @@ TEST(SerializeTest, MissingFileFails) {
   Rng rng(33);
   Mlp a(2, 4, 1, 1, &rng);
   EXPECT_FALSE(LoadModule(&a, "/tmp/definitely_missing_qps_model.bin").ok());
+}
+
+// ---- activation kernels ----------------------------------------------------
+
+using SpanKernel = void (*)(float*, int64_t);
+
+// The kernel's value for `x` computed alone, as a span of one.
+float Alone(SpanKernel kernel, float x) {
+  kernel(&x, 1);
+  return x;
+}
+
+uint32_t Bits(float x) { return std::bit_cast<uint32_t>(x); }
+
+TEST(ActivationKernelTest, NanInGivesNanOut) {
+  const float nans[] = {std::numeric_limits<float>::quiet_NaN(),
+                        -std::numeric_limits<float>::quiet_NaN(),
+                        std::bit_cast<float>(0x7f800001u)};
+  for (SpanKernel kernel : {static_cast<SpanKernel>(SigmoidInPlace),
+                            static_cast<SpanKernel>(TanhInPlace)}) {
+    for (float nan : nans) {
+      EXPECT_TRUE(std::isnan(Alone(kernel, nan)));
+      // Also inside a span long enough to take the vector body.
+      std::vector<float> span(37, 0.5f);
+      span[3] = nan;
+      span[33] = nan;
+      kernel(span.data(), static_cast<int64_t>(span.size()));
+      EXPECT_TRUE(std::isnan(span[3]));
+      EXPECT_TRUE(std::isnan(span[33]));
+      EXPECT_FALSE(std::isnan(span[4]));
+    }
+  }
+}
+
+TEST(ActivationKernelTest, ExtremeInputsStayInRange) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float magnitudes[] = {88.0f, 88.3f, 88.4f, 88.8f, 89.0f, 100.0f, 1e10f,
+                              std::numeric_limits<float>::max(), inf, denorm,
+                              1e-40f, 1e-38f, 0.0f};
+  std::vector<float> in;
+  for (float m : magnitudes) {
+    in.push_back(m);
+    in.push_back(-m);
+  }
+  std::vector<float> sig = in, th = in;
+  SigmoidInPlace(sig.data(), static_cast<int64_t>(sig.size()));
+  TanhInPlace(th.data(), static_cast<int64_t>(th.size()));
+  for (size_t i = 0; i < in.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(sig[i]) && sig[i] >= 0.0f && sig[i] <= 1.0f)
+        << "sigmoid(" << in[i] << ") = " << sig[i];
+    EXPECT_TRUE(std::isfinite(th[i]) && th[i] >= -1.0f && th[i] <= 1.0f)
+        << "tanh(" << in[i] << ") = " << th[i];
+    EXPECT_EQ(Bits(sig[i]), Bits(Alone(SigmoidInPlace, in[i]))) << in[i];
+    EXPECT_EQ(Bits(th[i]), Bits(Alone(TanhInPlace, in[i]))) << in[i];
+  }
+  EXPECT_EQ(Alone(SigmoidInPlace, inf), 1.0f);
+  EXPECT_EQ(Alone(SigmoidInPlace, 0.0f), 0.5f);
+  EXPECT_GT(Alone(TanhInPlace, inf), 0.99999f);
+  EXPECT_LT(Alone(TanhInPlace, -inf), -0.99999f);
+  EXPECT_EQ(Alone(TanhInPlace, denorm), denorm);  // tanh(x) = x to float precision
+}
+
+TEST(ActivationKernelTest, RelativeErrorAgainstDoubleWithin4e7) {
+  constexpr int64_t kPoints = 400001;  // [-20, 20] in steps of 1e-4
+  std::vector<float> x(kPoints);
+  for (int64_t i = 0; i < kPoints; ++i) {
+    x[static_cast<size_t>(i)] = static_cast<float>(-20.0 + 1e-4 * static_cast<double>(i));
+  }
+  std::vector<float> sig = x, th = x;
+  SigmoidInPlace(sig.data(), kPoints);
+  TanhInPlace(th.data(), kPoints);
+  double worst_sig = 0.0, worst_tanh = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double xd = x[i];
+    const double rs = 1.0 / (1.0 + std::exp(-xd));
+    const double rt = std::tanh(xd);
+    worst_sig = std::max(worst_sig, std::fabs(sig[i] - rs) / rs);
+    if (rt != 0.0) worst_tanh = std::max(worst_tanh, std::fabs(th[i] - rt) / std::fabs(rt));
+  }
+  EXPECT_LE(worst_sig, 4e-7);
+  EXPECT_LE(worst_tanh, 4e-7);
+}
+
+TEST(ActivationKernelTest, ElementBitsIndependentOfSpanOffsetAndLength) {
+  Rng rng(41);
+  for (SpanKernel kernel : {static_cast<SpanKernel>(SigmoidInPlace),
+                            static_cast<SpanKernel>(TanhInPlace)}) {
+    for (int64_t len = 1; len <= 70; ++len) {
+      for (int64_t off = 0; off < 16; ++off) {
+        std::vector<float> buf(static_cast<size_t>(off + len));
+        for (float& v : buf) v = static_cast<float>(rng.Uniform(-12.0, 12.0));
+        const std::vector<float> in = buf;
+        kernel(buf.data() + off, len);
+        for (int64_t i = 0; i < off + len; ++i) {
+          const size_t k = static_cast<size_t>(i);
+          const float want = i < off ? in[k] : Alone(kernel, in[k]);
+          ASSERT_EQ(Bits(buf[k]), Bits(want))
+              << "len " << len << " offset " << off << " element " << i << " x " << in[k];
+        }
+      }
+    }
+  }
+}
+
+TEST(ActivationKernelTest, AutogradForwardBitEqualsKernels) {
+  Rng rng(42);
+  const Tensor x = Tensor::Randn(7, 19, &rng, 4.0f);
+  Tensor sig = x, th = x;
+  SigmoidInPlace(&sig);
+  TanhInPlace(&th);
+  const Tensor sig_ag = Sigmoid(Constant(x))->value;
+  const Tensor th_ag = Tanh(Constant(x))->value;
+  for (int64_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(Bits(sig_ag.at(i)), Bits(sig.at(i))) << i;
+    EXPECT_EQ(Bits(th_ag.at(i)), Bits(th.at(i))) << i;
+  }
+}
+
+// Row `r` of `t` as a 1 x cols tensor.
+Tensor RowOf(const Tensor& t, int64_t r) {
+  Tensor out(1, t.cols());
+  for (int64_t j = 0; j < t.cols(); ++j) out(0, j) = t(r, j);
+  return out;
+}
+
+void ExpectBitEqual(const Tensor& a, const Tensor& b, const std::string& what) {
+  ASSERT_TRUE(a.SameShape(b)) << what;
+  for (int64_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(Bits(a.at(i)), Bits(b.at(i))) << what << " element " << i;
+  }
+}
+
+TEST(LstmCellTest, BatchRowsMatchSingleRowBitwise) {
+  Rng rng(43);
+  LstmCell cell(139, 64, &rng);
+  for (bool quantized : {false, true}) {
+    if (quantized) {
+      ASSERT_GT(QuantizeModule(&cell), 0);
+    }
+    for (int64_t batch = 1; batch <= 13; ++batch) {
+      const Tensor x = Tensor::Randn(batch, 139, &rng);
+      Tensor h = Tensor::Randn(batch, 64, &rng, 0.5f);
+      Tensor c = Tensor::Randn(batch, 64, &rng);
+      const Tensor h0 = h, c0 = c;
+      cell.ForwardTensor(x, &h, &c);
+      for (int64_t r = 0; r < batch; ++r) {
+        Tensor hr = RowOf(h0, r), cr = RowOf(c0, r);
+        cell.ForwardTensor(RowOf(x, r), &hr, &cr);
+        const std::string what = (quantized ? "int8" : "f32") + std::string(" batch ") +
+                                 std::to_string(batch) + " row " + std::to_string(r);
+        ExpectBitEqual(RowOf(h, r), hr, what + " h");
+        ExpectBitEqual(RowOf(c, r), cr, what + " c");
+      }
+    }
+  }
+}
+
+// Inference attention as composed before AttendRows: gather the plan's key
+// and value rows into tensors, then per head the one-row Gemms q_h @ K_h^T
+// and softmax(.) @ V_h, then the output projection for this plan alone.
+Tensor ReferenceAttend(const MultiHeadCrossAttention& attn, const Tensor& q_heads,
+                       const Tensor& keys, const Tensor& values,
+                       const std::vector<int>& rows, Tensor* scores) {
+  const int64_t d = attn.head_dim();
+  const int64_t width = attn.heads() * d;
+  const int64_t n = static_cast<int64_t>(rows.size());
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  *scores = Tensor(attn.heads(), n);
+  Tensor concat(1, width);
+  Tensor q(1, d), k(n, d), v(n, d), weights(1, n), head_out(1, d);
+  for (int h = 0; h < attn.heads(); ++h) {
+    for (int64_t j = 0; j < d; ++j) q(0, j) = q_heads(h, j);
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t j = 0; j < d; ++j) {
+        k(i, j) = keys(rows[static_cast<size_t>(i)], h * d + j);
+        v(i, j) = values(rows[static_cast<size_t>(i)], h * d + j);
+      }
+    }
+    Gemm(GemmLayout::kTransB, q, k, &weights, false);
+    weights.ScaleInPlace(scale);
+    SoftmaxRowsInPlace(&weights);
+    for (int64_t j = 0; j < n; ++j) (*scores)(h, j) = weights(0, j);
+    Gemm(GemmLayout::kNone, weights, v, &head_out, false);
+    for (int64_t j = 0; j < d; ++j) concat(0, h * d + j) = head_out(0, j);
+  }
+  Tensor w, b;
+  for (const auto& p : attn.Parameters()) {
+    if (p.name.ends_with(".proj.w")) w = p.var->value;
+    if (p.name.ends_with(".proj.b")) b = p.var->value;
+  }
+  Tensor out(1, w.cols());
+  Gemm(GemmLayout::kNone, concat, w, &out, false);
+  AddRowBroadcastInPlace(&out, b);
+  return out;
+}
+
+// `plans` plans over a pool of `pool` context rows, their sizes spread
+// evenly from 2 to 2 + max_extra rows, drawn from the pool (repeats
+// allowed).
+std::vector<std::vector<int>> RandomPlans(int plans, int pool, int max_extra, Rng* rng) {
+  std::vector<std::vector<int>> out;
+  for (int p = 0; p < plans; ++p) {
+    std::vector<int> rows(static_cast<size_t>(2 + p * max_extra / std::max(plans - 1, 1)));
+    for (int& r : rows) r = static_cast<int>(rng->UniformInt(0, pool - 1));
+    out.push_back(std::move(rows));
+  }
+  return out;
+}
+
+TEST(CrossAttentionTest, AttendRowsMatchesPerHeadGemmReference) {
+  struct Shape {
+    int64_t query_dim, context_dim;
+    int heads;
+    int64_t head_dim;
+    int pool, max_extra;
+  };
+  // Smoke, ci and paper widths; the largest paper plans (up to 291 rows)
+  // span two 256-row blocks of the value sum.
+  const Shape shapes[] = {{16, 24, 2, 8, 40, 9},
+                          {64, 64, 4, 16, 60, 17},
+                          {512, 950, 4, 256, 300, 289}};
+  Rng rng(44);
+  for (const Shape& s : shapes) {
+    MultiHeadCrossAttention attn(s.query_dim, s.context_dim, s.heads, s.head_dim,
+                                 s.query_dim + s.context_dim, &rng);
+    Tensor q_heads, keys, values;
+    attn.ProjectQuery(Tensor::Randn(1, s.query_dim, &rng), &q_heads);
+    attn.ProjectContext(Tensor::Randn(s.pool, s.context_dim, &rng), &keys, &values);
+    const auto plans = RandomPlans(9, s.pool, s.max_extra, &rng);
+    Tensor out;
+    attn.AttendRows(q_heads, keys.data(), values.data(), plans, &out);
+    ASSERT_EQ(out.rows(), 9);
+    for (size_t p = 0; p < plans.size(); ++p) {
+      const std::string what = "head_dim " + std::to_string(s.head_dim) + " plan " +
+                               std::to_string(p) + " of " +
+                               std::to_string(plans[p].size()) + " rows";
+      Tensor want_scores, scores, one;
+      const Tensor want = ReferenceAttend(attn, q_heads, keys, values, plans[p], &want_scores);
+      ExpectBitEqual(RowOf(out, static_cast<int64_t>(p)), want, what);
+      attn.AttendRows(q_heads, keys.data(), values.data(), {plans[p]}, &one, &scores);
+      ExpectBitEqual(one, want, what + " alone");
+      ExpectBitEqual(scores, want_scores, what + " scores");
+    }
+  }
+}
+
+TEST(CrossAttentionTest, AttendRowsInt8RowsMatchSinglePlanBitwise) {
+  Rng rng(45);
+  MultiHeadCrossAttention attn(64, 64, 4, 16, 128, &rng);
+  ASSERT_GT(QuantizeModule(&attn), 0);
+  Tensor q_heads, keys, values;
+  attn.ProjectQuery(Tensor::Randn(1, 64, &rng), &q_heads);
+  attn.ProjectContext(Tensor::Randn(50, 64, &rng), &keys, &values);
+  for (int count = 1; count <= 9; ++count) {
+    const auto plans = RandomPlans(count, 50, 13, &rng);
+    Tensor out;
+    attn.AttendRows(q_heads, keys.data(), values.data(), plans, &out);
+    for (size_t p = 0; p < plans.size(); ++p) {
+      Tensor one;
+      attn.AttendRows(q_heads, keys.data(), values.data(), {plans[p]}, &one);
+      ExpectBitEqual(RowOf(out, static_cast<int64_t>(p)), one,
+                     std::to_string(count) + " plans, plan " + std::to_string(p));
+    }
+  }
 }
 
 }  // namespace
