@@ -50,7 +50,7 @@ void BM_MatMulForward(benchmark::State& state) {
   nn::Tensor b = nn::Tensor::Randn(n, n, &rng);
   nn::Tensor out(n, n);
   for (auto _ : state) {
-    nn::MatMulInto(a, b, &out);
+    nn::Gemm(nn::GemmLayout::kNone, a, b, &out, /*accumulate=*/false);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
@@ -59,9 +59,9 @@ BENCHMARK(BM_MatMulForward)->Arg(32)->Arg(64)->Arg(128);
 
 // ---- tiled GEMM vs. the pre-tiling scalar kernel ------------------------
 //
-// ScalarBaselineMatMul is the seed tree's MatMulInto verbatim (i-p-j loops
+// ScalarBaselineMatMul is the seed tree's matmul verbatim (i-p-j loops
 // with a zero-skip), compiled at the default -O2 like the seed. The tiled
-// kernel behind today's MatMulInto runs the (batch x d) @ (d x d) shapes
+// kernel, nn::Gemm, runs the (batch x d) @ (d x d) shapes
 // the batched model forward produces: batch = plans per MCTS evaluation,
 // d = hidden width.
 

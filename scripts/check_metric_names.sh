@@ -47,10 +47,10 @@ while IFS= read -r name; do
       member="${name#qps.tenant.}"
       member="${member%%.*}"
       case "$member" in
-        requests|shed|latency_ms|qerr|count) ;;
+        requests|shed|latency_ms|count) ;;
         *)
           echo "unknown qps.tenant.* member: $name (allowed:" \
-               "requests shed latency_ms qerr count)" >&2
+               "requests shed latency_ms count)" >&2
           bad=1
           ;;
       esac

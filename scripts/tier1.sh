@@ -53,9 +53,12 @@ if grep -rnF -e 'std::tanh(' -e '1.0f / (1.0f + std::exp' \
 fi
 
 echo "== tier-1: release build + full ctest =="
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
+
+echo "== tier-1: activation kernels vectorize (src/nn/tensor.cc) =="
+./scripts/check_activation_vectorized.sh build
 
 echo "== tier-1: forced-scalar int8 kernel leg (QPS_FORCE_SCALAR=1) =="
 # The int8 GEMM dispatches to SIMD kernels at runtime; this leg pins the

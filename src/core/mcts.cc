@@ -110,6 +110,17 @@ bool RandomCompletion(const Query& q, std::vector<Action>* actions, Rng* rng) {
   return true;
 }
 
+/// The search's one evaluator: the request's own (the serving rendezvous)
+/// when it brings one, else the model's batched forward through `memo`,
+/// the search's encodings of its subtrees, query and attention context.
+BatchEvalFn BindEvaluator(const QpSeeker& model, const PlanRequestOptions& request,
+                          EvalMemo* memo) {
+  if (request.evaluate) return request.evaluate;
+  return [&model, memo](const Query& q, const std::vector<const PlanNode*>& plans) {
+    return model.PredictPlansBatch(q, plans, memo);
+  };
+}
+
 }  // namespace
 
 StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
@@ -150,9 +161,8 @@ StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
                                ? std::min(search.time_budget_ms, request.deadline_ms)
                                : search.time_budget_ms;
 
-  // Subtrees, query embedding and attention projections already encoded
-  // for this request, reused by every batch scored on the model directly.
   EvalMemo memo;
+  const BatchEvalFn evaluate = BindEvaluator(model, request, &memo);
 
   const int n = q.num_relations();
   while (result.plans_evaluated < search.max_rollouts &&
@@ -252,9 +262,7 @@ StatusOr<MctsResult> MctsPlan(const QpSeeker& model, const Query& q,
     std::vector<const PlanNode*> plan_ptrs;
     plan_ptrs.reserve(batch.size());
     for (const auto& c : batch) plan_ptrs.push_back(c.plan.get());
-    const std::vector<query::NodeStats> preds =
-        request.evaluate ? request.evaluate(q, plan_ptrs)
-                         : model.PredictPlansBatch(q, plan_ptrs, &memo);
+    const std::vector<query::NodeStats> preds = evaluate(q, plan_ptrs);
 
     // 5. Backpropagation, serially in selection order: a node earns one
     // reward unit each time it is part of the best plan discovered so far.
@@ -297,7 +305,8 @@ StatusOr<MctsResult> GreedyPlan(const QpSeeker& model, const Query& q,
   plans_counter->Increment();
   Timer timer;
   MctsResult result;
-  EvalMemo memo;  // as in MctsPlan
+  EvalMemo memo;
+  const BatchEvalFn evaluate = BindEvaluator(model, request, &memo);
   std::vector<Action> prefix;
   const int n = q.num_relations();
   for (int step = 0; step < n; ++step) {
@@ -329,9 +338,7 @@ StatusOr<MctsResult> GreedyPlan(const QpSeeker& model, const Query& q,
     std::vector<const PlanNode*> ptrs;
     ptrs.reserve(step_plans.size());
     for (const auto& p : step_plans) ptrs.push_back(p.get());
-    const std::vector<query::NodeStats> preds =
-        request.evaluate ? request.evaluate(q, ptrs)
-                         : model.PredictPlansBatch(q, ptrs, &memo);
+    const std::vector<query::NodeStats> preds = evaluate(q, ptrs);
 
     Action best_action;
     double best_runtime = INFINITY;
@@ -356,10 +363,7 @@ StatusOr<MctsResult> GreedyPlan(const QpSeeker& model, const Query& q,
   // The final score goes through the same evaluator as the step batches,
   // so a served request's every forward rides (and is counted by) the
   // serving layer's rendezvous.
-  result.predicted_runtime_ms =
-      request.evaluate
-          ? request.evaluate(q, {result.plan.get()})[0].runtime_ms
-          : model.PredictPlansBatch(q, {result.plan.get()}, &memo)[0].runtime_ms;
+  result.predicted_runtime_ms = evaluate(q, {result.plan.get()})[0].runtime_ms;
   result.planning_ms = timer.ElapsedMillis();
   span.AddAttr("plans_evaluated", result.plans_evaluated);
   return result;

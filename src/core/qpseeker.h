@@ -82,8 +82,9 @@ class QpSeeker;
 
 /// What one planning request has had encoded so far, kept across its
 /// PredictPlansMulti calls: the query embedding and its per-head attention
-/// projection, the TabSketch representations, and one row per distinct
-/// plan subtree with its tree-LSTM state, output vector and per-head
+/// projection, the TabSketch representation of each scanned relation
+/// (table [CLS] vectors are read from the TabSketch, which holds them for
+/// the process), and one row per distinct plan subtree with its tree-LSTM state, output vector and per-head
 /// attention keys and values (~1.3 KB a row at ci scale). Every row holds
 /// exactly what a memo-less call computes for that subtree, because each
 /// GEMM row is computed independently of the rest of its batch; so a memo
@@ -95,7 +96,7 @@ class QpSeeker;
 /// threads; the request uses it from one call at a time. It grows with the
 /// distinct subtrees the request evaluates, up to `max_bytes` of rows: a
 /// call that finds more drops every subtree row first (the query
-/// projection and TabSketch representations stay), which changes no
+/// projection and scan representations stay), which changes no
 /// result, only what later calls repeat. So a memo holds at most
 /// `max_bytes` plus one call's rows, and is freed with the request.
 class EvalMemo {

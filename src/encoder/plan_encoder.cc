@@ -19,11 +19,11 @@ using nn::Var;
 
 PlanEncoder::PlanEncoder(const storage::Database& db, const tabert::TabSketch& tabert,
                          const EncoderConfig& config, Rng* rng)
-    : db_(db), tabert_(tabert), config_(config) {
-  // Input layout: [child data vector | child stats(3) | own EXPLAIN
-  // estimates(3) | op one-hot | data repr | relation one-hot sum].
-  input_dim_ = 6 + query::kNumOpTypes + tabert_.embedding_dim() + db.num_tables() +
-               (config_.node_out - 3);
+    : tabert_(tabert), config_(config) {
+  // Input layout (header): the children's part, node_out wide, then the
+  // node's own [est(3) | op one-hot | data repr | relation one-hot sum].
+  input_dim_ = config_.node_out + 3 + query::kNumOpTypes + tabert_.embedding_dim() +
+               db.num_tables();
   cell_ = std::make_unique<nn::LstmCell>(input_dim_, config_.node_out, rng, "plan_cell");
   out_proj_ = std::make_unique<nn::Linear>(config_.node_out, config_.node_out, rng,
                                            "plan_out");
@@ -31,77 +31,82 @@ PlanEncoder::PlanEncoder(const storage::Database& db, const tabert::TabSketch& t
   RegisterChild("out", out_proj_.get());
 }
 
-PlanEncoder::NodeState PlanEncoder::EncodeNode(const query::Query& q,
-                                               const query::PlanNode& node,
-                                               const LabelNormalizer& norm,
-                                               Output* out) const {
-  const int dvec = data_vec_dim();
-  Var stats_in, data_repr, child_data;
-  nn::LstmCell::State state;
-
-  if (node.is_leaf()) {
-    // (a) Leaves have no children: zero child-stats.
-    stats_in = nn::Constant(Tensor::Zeros(1, 3));
-    // (c) TabSketch representation of the data processed (filtered column
-    // or table [CLS]).
-    data_repr = nn::Constant(tabert_.ScanDataRepresentation(q, node.rel));
-    // (e) Leaves have no children: zero padding tells the cell so.
-    child_data = nn::Constant(Tensor::Zeros(1, dvec));
-    state = cell_->InitialState();
-  } else {
-    NodeState left = EncodeNode(q, *node.left, norm, out);
-    NodeState right = EncodeNode(q, *node.right, norm, out);
-    // (a) Mean-pool the children's own stat predictions (last 3 dims).
-    Var lstats = nn::SliceCols(left.output, dvec, config_.node_out);
-    Var rstats = nn::SliceCols(right.output, dvec, config_.node_out);
-    stats_in = nn::Scale(nn::Add(lstats, rstats), 0.5f);
-    // (c) Mean of [CLS] representations of every relation joined so far.
-    const uint64_t mask = node.RelMask();
-    Tensor cls(1, tabert_.embedding_dim());
-    int count = 0;
-    for (int r = 0; r < q.num_relations(); ++r) {
-      if (!((mask >> r) & 1)) continue;
-      const Tensor rep =
-          tabert_.TableRepresentation(q.relations[static_cast<size_t>(r)].table_id);
-      cls.AddInPlace(rep);
-      ++count;
-    }
-    if (count > 0) cls.ScaleInPlace(1.0f / static_cast<float>(count));
-    data_repr = nn::Constant(cls);
-    // (e) Mean of the children's data vectors (information flowing up).
-    Var ldata = nn::SliceCols(left.output, 0, dvec);
-    Var rdata = nn::SliceCols(right.output, 0, dvec);
-    child_data = nn::Scale(nn::Add(ldata, rdata), 0.5f);
-    // LSTM state: children's states pooled.
-    state.h = nn::Scale(nn::Add(left.lstm.h, right.lstm.h), 0.5f);
-    state.c = nn::Scale(nn::Add(left.lstm.c, right.lstm.c), 0.5f);
-  }
-
-  // (b) Operator one-hot.
-  Tensor op(1, query::kNumOpTypes);
-  op(0, static_cast<int>(node.op)) = 1.0f;
-  // (d) Relation one-hot sum over the subtree.
-  Tensor rels(1, db_.num_tables());
-  const uint64_t mask = node.RelMask();
-  for (int r = 0; r < q.num_relations(); ++r) {
-    if ((mask >> r) & 1) {
-      rels(0, q.relations[static_cast<size_t>(r)].table_id) += 1.0f;
-    }
-  }
-
-  if (!config_.use_data_repr) {
-    data_repr = nn::Constant(Tensor::Zeros(1, tabert_.embedding_dim()));
-  }
+void PlanEncoder::WriteOwnInput(const query::Query& q, const query::PlanNode& node,
+                                const LabelNormalizer& norm, ScanReps* scan_reps,
+                                float* own) const {
+  const int64_t edim = tabert_.embedding_dim();
+  float* op_onehot = own + 3;
+  float* data_repr = op_onehot + query::kNumOpTypes;
+  float* rels = data_repr + edim;
   // Own-node EXPLAIN-style estimates (normalized); for leaves this is what
   // the paper feeds from EXPLAIN, and providing the same signal at join
   // nodes lets the learned cost model generalize to plan depths never seen
   // in training (the Figure 9 transfer setting).
   const auto own3 = norm.Normalize(node.estimated);
-  Var own_est = nn::Constant(Tensor::Row({own3[0], own3[1], own3[2]}));
-  Var input = nn::ConcatCols({child_data, stats_in, own_est, nn::Constant(op),
-                              data_repr, nn::Constant(rels)});
-  // Reorder check: layout documented in the header is logical; the exact
-  // concatenation order is fixed here and learned end-to-end.
+  own[0] = own3[0];
+  own[1] = own3[1];
+  own[2] = own3[2];
+  op_onehot[static_cast<int>(node.op)] = 1.0f;
+  if (config_.use_data_repr && node.is_leaf()) {
+    // TabSketch representation of the data the scan processes: the
+    // filtered column, or the table [CLS].
+    auto it = scan_reps->find(node.rel);
+    if (it == scan_reps->end()) {
+      it = scan_reps->emplace(node.rel, tabert_.ScanDataRepresentation(q, node.rel)).first;
+    }
+    std::memcpy(data_repr, it->second.data(), sizeof(float) * static_cast<size_t>(edim));
+  }
+  // A join reads the mean [CLS] of every relation joined so far; every
+  // node reads its subtree's relation one-hot sum.
+  const bool pool_cls = config_.use_data_repr && !node.is_leaf();
+  const uint64_t mask = node.RelMask();
+  int count = 0;
+  for (int r = 0; r < q.num_relations(); ++r) {
+    if (!((mask >> r) & 1)) continue;
+    const int table = q.relations[static_cast<size_t>(r)].table_id;
+    rels[table] += 1.0f;
+    if (pool_cls) {
+      const float* rep = tabert_.TableRepresentation(table).data();
+      for (int64_t j = 0; j < edim; ++j) data_repr[j] += rep[j];
+      ++count;
+    }
+  }
+  if (count > 0) {
+    const float inv = 1.0f / static_cast<float>(count);
+    for (int64_t j = 0; j < edim; ++j) data_repr[j] *= inv;
+  }
+}
+
+PlanEncoder::NodeState PlanEncoder::EncodeNode(const query::Query& q,
+                                               const query::PlanNode& node,
+                                               const LabelNormalizer& norm,
+                                               ScanReps* scan_reps, Output* out) const {
+  const int dvec = data_vec_dim();
+  Tensor own(1, input_dim_ - config_.node_out);
+  WriteOwnInput(q, node, norm, scan_reps, own.data());
+  Var input;
+  nn::LstmCell::State state;
+  if (node.is_leaf()) {
+    // Leaves have no children: a zero child part tells the cell so.
+    input = nn::ConcatCols({nn::Constant(Tensor::Zeros(1, config_.node_out)),
+                            nn::Constant(std::move(own))});
+    state = cell_->InitialState();
+  } else {
+    NodeState left = EncodeNode(q, *node.left, norm, scan_reps, out);
+    NodeState right = EncodeNode(q, *node.right, norm, scan_reps, out);
+    // Mean of the children's data vectors (information flowing up) and of
+    // their own stat predictions (last 3 dims).
+    Var ldata = nn::SliceCols(left.output, 0, dvec);
+    Var rdata = nn::SliceCols(right.output, 0, dvec);
+    Var child_data = nn::Scale(nn::Add(ldata, rdata), 0.5f);
+    Var lstats = nn::SliceCols(left.output, dvec, config_.node_out);
+    Var rstats = nn::SliceCols(right.output, dvec, config_.node_out);
+    Var stats_in = nn::Scale(nn::Add(lstats, rstats), 0.5f);
+    input = nn::ConcatCols({child_data, stats_in, nn::Constant(std::move(own))});
+    // LSTM state: children's states pooled.
+    state.h = nn::Scale(nn::Add(left.lstm.h, right.lstm.h), 0.5f);
+    state.c = nn::Scale(nn::Add(left.lstm.c, right.lstm.c), 0.5f);
+  }
   QPS_DCHECK(input->value.cols() == input_dim_);
 
   NodeState result;
@@ -117,7 +122,8 @@ PlanEncoder::Output PlanEncoder::Encode(const query::Query& q,
                                         const LabelNormalizer& norm) const {
   QPS_TRACE_SPAN("encode.plan");
   Output out;
-  NodeState root = EncodeNode(q, plan, norm, &out);
+  ScanReps scan_reps;
+  NodeState root = EncodeNode(q, plan, norm, &scan_reps, &out);
   out.root = root.output;
   out.node_matrix = nn::ConcatRows(out.node_outputs);
   return out;
@@ -163,9 +169,7 @@ void PlanEncoder::EncodeBatch(const query::Query& q,
       metrics::Registry::Global().GetCounter("qps.encode.rows");
   static metrics::Counter* const reused_counter =
       metrics::Registry::Global().GetCounter("qps.encode.rows_reused");
-  const int dvec = data_vec_dim();
   const int64_t hid = config_.node_out;
-  const int64_t edim = tabert_.embedding_dim();
   if (memo->width_ == 0) memo->width_ = hid;
   QPS_CHECK(memo->width_ == hid) << "EncodeBatch: memo rows are " << memo->width_
                                  << " wide, this encoder's are " << hid;
@@ -250,74 +254,22 @@ void PlanEncoder::EncodeBatch(const query::Query& q,
       const Fresh& f = fresh[static_cast<size_t>(level[static_cast<size_t>(b)])];
       const query::PlanNode& node = *f.node;
       float* row = x.data() + b * input_dim_;
-      // Layout mirrors EncodeNode's ConcatCols order:
-      // [child data | child stats(3) | own est(3) | op | data repr | rels].
-      float* child_data = row;
-      float* stats_in = row + dvec;
-      float* own_est = stats_in + 3;
-      float* op_onehot = own_est + 3;
-      float* data_repr = op_onehot + query::kNumOpTypes;
-      float* rels = data_repr + edim;
-
-      if (node.is_leaf()) {
-        if (config_.use_data_repr) {
-          auto it = memo->scan_reps_.find(node.rel);
-          if (it == memo->scan_reps_.end()) {
-            it = memo->scan_reps_
-                     .emplace(node.rel, tabert_.ScanDataRepresentation(q, node.rel))
-                     .first;
-          }
-          std::memcpy(data_repr, it->second.data(),
-                      sizeof(float) * static_cast<size_t>(edim));
-        }
-      } else {
-        const float* lo = memo->out_.data() + f.left * hid;
-        const float* ro = memo->out_.data() + f.right * hid;
-        for (int j = 0; j < dvec; ++j) child_data[j] = 0.5f * (lo[j] + ro[j]);
-        for (int j = 0; j < 3; ++j) stats_in[j] = 0.5f * (lo[dvec + j] + ro[dvec + j]);
-        if (config_.use_data_repr) {
-          const uint64_t mask = node.RelMask();
-          int count = 0;
-          for (int r = 0; r < q.num_relations(); ++r) {
-            if (!((mask >> r) & 1)) continue;
-            const int table = q.relations[static_cast<size_t>(r)].table_id;
-            auto it = memo->table_reps_.find(table);
-            if (it == memo->table_reps_.end()) {
-              it = memo->table_reps_.emplace(table, tabert_.TableRepresentation(table))
-                       .first;
-            }
-            const float* rep = it->second.data();
-            for (int64_t j = 0; j < edim; ++j) data_repr[j] += rep[j];
-            ++count;
-          }
-          if (count > 0) {
-            const float inv = 1.0f / static_cast<float>(count);
-            for (int64_t j = 0; j < edim; ++j) data_repr[j] *= inv;
-          }
-        }
-        // LSTM state: children's states pooled, as in EncodeNode.
-        const float* lh = memo->h_.data() + f.left * hid;
-        const float* rh = memo->h_.data() + f.right * hid;
-        const float* lc = memo->c_.data() + f.left * hid;
-        const float* rc = memo->c_.data() + f.right * hid;
-        float* hb = h_batch.data() + b * hid;
-        float* cb = c_batch.data() + b * hid;
-        for (int64_t j = 0; j < hid; ++j) {
-          hb[j] = 0.5f * (lh[j] + rh[j]);
-          cb[j] = 0.5f * (lc[j] + rc[j]);
-        }
-      }
-
-      const auto own3 = norm.Normalize(node.estimated);
-      own_est[0] = own3[0];
-      own_est[1] = own3[1];
-      own_est[2] = own3[2];
-      op_onehot[static_cast<int>(node.op)] = 1.0f;
-      const uint64_t mask = node.RelMask();
-      for (int r = 0; r < q.num_relations(); ++r) {
-        if ((mask >> r) & 1) {
-          rels[q.relations[static_cast<size_t>(r)].table_id] += 1.0f;
-        }
+      WriteOwnInput(q, node, norm, &memo->scan_reps_, row + hid);
+      if (node.is_leaf()) continue;
+      // The children's pooled part, [child data | child stats(3)] and the
+      // LSTM state: the mean of the children's rows.
+      const float* lo = memo->out_.data() + f.left * hid;
+      const float* ro = memo->out_.data() + f.right * hid;
+      const float* lh = memo->h_.data() + f.left * hid;
+      const float* rh = memo->h_.data() + f.right * hid;
+      const float* lc = memo->c_.data() + f.left * hid;
+      const float* rc = memo->c_.data() + f.right * hid;
+      float* hb = h_batch.data() + b * hid;
+      float* cb = c_batch.data() + b * hid;
+      for (int64_t j = 0; j < hid; ++j) {
+        row[j] = 0.5f * (lo[j] + ro[j]);
+        hb[j] = 0.5f * (lh[j] + rh[j]);
+        cb[j] = 0.5f * (lc[j] + rc[j]);
       }
     }
 

@@ -1,12 +1,20 @@
 // Copyright 2026 The QPSeeker Authors
 //
 // Plan encoder (paper §4.2): one shared LSTM cell applied bottom-up over
-// the plan tree. Each node's input concatenates (a) the (estimated or
-// child-pooled) stats triple, (b) the physical operator one-hot, (c) the
-// TabSketch data representation, (d) the subtree's relation one-hot sum,
-// and (e) the mean of the children's data vectors. Each node's output is a
-// vector whose last three dimensions are the node's normalized cardinality
-// / cost / runtime predictions; the root holds the whole plan's values.
+// the plan tree. Each node's input row is, in this order:
+//   (a) the mean of the children's data vectors (zeros at a leaf);
+//   (b) the mean of the children's stat predictions (zeros at a leaf);
+//   (c) the node's own normalized EXPLAIN estimates (3);
+//   (d) the physical operator one-hot;
+//   (e) the TabSketch data representation: the scan's filtered column or
+//       table [CLS] at a leaf, the mean [CLS] of the joined relations at a
+//       join (zeros when use_data_repr is off);
+//   (f) the subtree's relation one-hot sum.
+// (a) and (b) are the node's output vector averaged over its children;
+// (c)-(f), the node's own part, are written by one function for training
+// and inference alike. Each node's output is a vector whose last three
+// dimensions are the node's normalized cardinality / cost / runtime
+// predictions; the root holds the whole plan's values.
 
 #ifndef QPS_ENCODER_PLAN_ENCODER_H_
 #define QPS_ENCODER_PLAN_ENCODER_H_
@@ -24,6 +32,9 @@ namespace qps {
 namespace encoder {
 
 class PlanEncoder : public nn::Module {
+  /// Scan data representation per relation index, computed on first use.
+  using ScanReps = std::unordered_map<int, nn::Tensor>;
+
  public:
   PlanEncoder(const storage::Database& db, const tabert::TabSketch& tabert,
               const EncoderConfig& config, Rng* rng);
@@ -46,8 +57,8 @@ class PlanEncoder : public nn::Module {
 
   /// Every subtree one query has had encoded, with what it was encoded
   /// from: one row per distinct subtree holding its (h, c, output), plus
-  /// the TabSketch scan and table representations. A row is keyed by the
-  /// node's operator, scan relation, the bit patterns of its estimated
+  /// the TabSketch scan representation of each relation. A row is keyed by
+  /// the node's operator, scan relation, the bit patterns of its estimated
   /// triple and its children's rows, so two nodes share a row exactly when
   /// the encoder's inputs for their subtrees are identical. A memo belongs
   /// to one (query, model) pair; the caller that owns it makes sure of that
@@ -66,7 +77,7 @@ class PlanEncoder : public nn::Module {
     }
     /// Output vector (node_out wide) of subtree row `row`.
     const float* output(int64_t row) const;
-    /// Drops every subtree row; the scan and table representations stay.
+    /// Drops every subtree row; the scan representations stay.
     void ClearRows();
 
    private:
@@ -85,8 +96,7 @@ class PlanEncoder : public nn::Module {
     int64_t width_ = 0;  ///< node_out, fixed by the first EncodeBatch
     std::unordered_map<Key, int, KeyHash> index_;
     std::vector<float> h_, c_, out_;  ///< rows_ x width_ each
-    std::unordered_map<int, nn::Tensor> scan_reps_;   ///< rel -> 1 x edim
-    std::unordered_map<int, nn::Tensor> table_reps_;  ///< table -> 1 x edim
+    ScanReps scan_reps_;
   };
 
   /// Autograd-free batched encoding of many candidate plans of one query.
@@ -114,10 +124,16 @@ class PlanEncoder : public nn::Module {
     nn::Var output;  ///< 1 x node_out
   };
 
-  NodeState EncodeNode(const query::Query& q, const query::PlanNode& node,
-                       const LabelNormalizer& norm, Output* out) const;
+  /// Writes the node's own input part, (c)-(f) of the layout above, into
+  /// `own` (input_dim - node_out floats, zeroed by the caller).
+  void WriteOwnInput(const query::Query& q, const query::PlanNode& node,
+                     const LabelNormalizer& norm, ScanReps* scan_reps,
+                     float* own) const;
 
-  const storage::Database& db_;
+  NodeState EncodeNode(const query::Query& q, const query::PlanNode& node,
+                       const LabelNormalizer& norm, ScanReps* scan_reps,
+                       Output* out) const;
+
   const tabert::TabSketch& tabert_;
   EncoderConfig config_;
   int input_dim_;

@@ -2,6 +2,9 @@
 
 #include "encoder/query_encoder.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "util/trace.h"
 
 namespace qps {
@@ -12,8 +15,7 @@ using nn::Var;
 
 QueryEncoder::QueryEncoder(const storage::Database& db, const EncoderConfig& config,
                            Rng* rng)
-    : db_(db),
-      config_(config),
+    : config_(config),
       num_tables_(db.num_tables()),
       num_joins_(static_cast<int>(db.join_edges().size())) {
   rel_mlp_ = std::make_unique<nn::Mlp>(num_tables_, config_.set_hidden,
@@ -28,34 +30,35 @@ QueryEncoder::QueryEncoder(const storage::Database& db, const EncoderConfig& con
   RegisterChild("join", join_mlp_.get());
 }
 
-Var QueryEncoder::Encode(const query::Query& q) const {
-  QPS_TRACE_SPAN("encode.query");
-  // Relation set: one row per relation instance, one-hot by table id.
+QueryEncoder::Sets QueryEncoder::BuildSets(const query::Query& q) const {
   const int nrel = std::max(1, q.num_relations());
-  Tensor rel(nrel, num_tables_);
-  Tensor rel_mask(nrel, 1);
+  const int njoin = std::max(1, static_cast<int>(q.joins.size()));
+  Sets sets{Tensor(nrel, num_tables_), Tensor(nrel, 1), Tensor(njoin, join_onehot_dim()),
+            Tensor(njoin, 1)};
+  // Relation set: one row per relation instance, one-hot by table id.
   for (int r = 0; r < q.num_relations(); ++r) {
-    rel(r, q.relations[static_cast<size_t>(r)].table_id) = 1.0f;
-    rel_mask(r, 0) = 1.0f;
+    sets.rel(r, q.relations[static_cast<size_t>(r)].table_id) = 1.0f;
+    sets.rel_mask(r, 0) = 1.0f;
   }
-  Var rel_pooled =
-      nn::MaskedMeanRows(rel_mlp_->Forward(nn::Constant(rel)), rel_mask);
-
   // Join set: one row per join predicate, one-hot by schema edge (the last
   // bucket collects ad-hoc joins not in the FK graph). Queries without
   // joins pool to zero through an all-zero mask (the paper feeds an all-
   // zeros matrix).
-  const int njoin = std::max(1, static_cast<int>(q.joins.size()));
-  Tensor join(njoin, join_onehot_dim());
-  Tensor join_mask(njoin, 1);
   for (size_t j = 0; j < q.joins.size(); ++j) {
     const int edge = q.joins[j].schema_edge;
-    join(static_cast<int64_t>(j), edge >= 0 ? edge : num_joins_) = 1.0f;
-    join_mask(static_cast<int64_t>(j), 0) = 1.0f;
+    sets.join(static_cast<int64_t>(j), edge >= 0 ? edge : num_joins_) = 1.0f;
+    sets.join_mask(static_cast<int64_t>(j), 0) = 1.0f;
   }
-  Var join_pooled =
-      nn::MaskedMeanRows(join_mlp_->Forward(nn::Constant(join)), join_mask);
+  return sets;
+}
 
+Var QueryEncoder::Encode(const query::Query& q) const {
+  QPS_TRACE_SPAN("encode.query");
+  Sets sets = BuildSets(q);
+  Var rel_pooled = nn::MaskedMeanRows(rel_mlp_->Forward(nn::Constant(std::move(sets.rel))),
+                                      sets.rel_mask);
+  Var join_pooled = nn::MaskedMeanRows(
+      join_mlp_->Forward(nn::Constant(std::move(sets.join))), sets.join_mask);
   return nn::ConcatCols({rel_pooled, join_pooled});
 }
 
@@ -63,36 +66,12 @@ void QueryEncoder::EncodeTensor(const query::Query& q, Tensor* out) const {
   QPS_TRACE_SPAN("encode.query");
   const int out_cols = out_dim();
   if (out->rows() != 1 || out->cols() != out_cols) *out = Tensor(1, out_cols);
-
-  // Masked mean of mlp(rows): identical pooling to nn::MaskedMeanRows.
-  const auto pool = [](const Tensor& rows, int valid, float* dst, int64_t width) {
-    const float inv = valid > 0 ? 1.0f / static_cast<float>(valid) : 0.0f;
-    for (int64_t j = 0; j < width; ++j) dst[j] = 0.0f;
-    for (int r = 0; r < valid; ++r) {
-      const float* src = rows.data() + r * width;
-      for (int64_t j = 0; j < width; ++j) dst[j] += src[j] * inv;
-    }
-  };
-
-  const int nrel = std::max(1, q.num_relations());
-  Tensor rel(nrel, num_tables_);
-  for (int r = 0; r < q.num_relations(); ++r) {
-    rel(r, q.relations[static_cast<size_t>(r)].table_id) = 1.0f;
-  }
-  Tensor rel_out;
-  rel_mlp_->ForwardTensor(rel, &rel_out);
-  pool(rel_out, q.num_relations(), out->data(), config_.set_out);
-
-  const int njoin = std::max(1, static_cast<int>(q.joins.size()));
-  Tensor join(njoin, join_onehot_dim());
-  for (size_t j = 0; j < q.joins.size(); ++j) {
-    const int edge = q.joins[j].schema_edge;
-    join(static_cast<int64_t>(j), edge >= 0 ? edge : num_joins_) = 1.0f;
-  }
-  Tensor join_out;
-  join_mlp_->ForwardTensor(join, &join_out);
-  pool(join_out, static_cast<int>(q.joins.size()), out->data() + config_.set_out,
-       config_.set_out);
+  const Sets sets = BuildSets(q);
+  Tensor rel_out, join_out;
+  rel_mlp_->ForwardTensor(sets.rel, &rel_out);
+  nn::MaskedMeanRowsInto(rel_out, sets.rel_mask, out->data());
+  join_mlp_->ForwardTensor(sets.join, &join_out);
+  nn::MaskedMeanRowsInto(join_out, sets.join_mask, out->data() + config_.set_out);
 }
 
 }  // namespace encoder

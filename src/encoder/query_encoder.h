@@ -43,19 +43,24 @@ class QueryEncoder : public nn::Module {
   /// Query embedding vector, 1 x out_dim().
   nn::Var Encode(const query::Query& q) const;
 
-  /// Autograd-free inference path; identical math, writes 1 x out_dim()
-  /// into *out. Computed once per planning run and reused for every
-  /// candidate plan of the query.
+  /// Autograd-free inference path over the same sets and pooling kernel;
+  /// writes 1 x out_dim() into *out. Computed once per planning run and
+  /// reused for every candidate plan of the query.
   void EncodeTensor(const query::Query& q, nn::Tensor* out) const;
 
   int out_dim() const { return 2 * config_.set_out; }
 
-  /// One-hot widths (N tables, M schema joins + 1 ad-hoc bucket).
-  int relation_onehot_dim() const { return num_tables_; }
+ private:
+  /// The two one-hot sets the encoder reads, each with its presence mask
+  /// (rows x 1): relations by table id, joins by schema edge.
+  struct Sets {
+    nn::Tensor rel, rel_mask, join, join_mask;
+  };
+  Sets BuildSets(const query::Query& q) const;
+
+  /// Join one-hot width: M schema joins + 1 ad-hoc bucket.
   int join_onehot_dim() const { return num_joins_ + 1; }
 
- private:
-  const storage::Database& db_;
   EncoderConfig config_;
   int num_tables_;
   int num_joins_;

@@ -65,7 +65,6 @@ class CoverageMap {
  public:
   /// Inserts; returns true when the signature was new.
   bool Add(uint64_t signature) { return seen_.insert(signature).second; }
-  bool Contains(uint64_t signature) const { return seen_.count(signature) > 0; }
   size_t size() const { return seen_.size(); }
 
  private:

@@ -2,6 +2,7 @@
 
 #include "nn/autograd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
@@ -100,18 +101,20 @@ void Backward(const Var& root) {
 Var MatMul(const Var& a, const Var& b) {
   QPS_CHECK(a->value.cols() == b->value.rows()) << "MatMul shape mismatch";
   Tensor out(a->value.rows(), b->value.cols());
-  MatMulInto(a->value, b->value, &out);
+  Gemm(GemmLayout::kNone, a->value, b->value, &out, /*accumulate=*/false);
   Var node = MakeOp(std::move(out), {a, b});
   Node* self = node.get();
   Var pa = a, pb = b;
   node->backward_fn = [self, pa, pb]() {
     if (pa->requires_grad) {
       pa->EnsureGrad();
-      MatMulTransBInto(self->grad, pb->value, &pa->grad, /*accumulate=*/true);
+      // dA (m x k) += dOut (m x n) @ B^T, B being (k x n).
+      Gemm(GemmLayout::kTransB, self->grad, pb->value, &pa->grad, /*accumulate=*/true);
     }
     if (pb->requires_grad) {
       pb->EnsureGrad();
-      MatMulTransAInto(pa->value, self->grad, &pb->grad, /*accumulate=*/true);
+      // dB (k x n) += A^T @ dOut, A being (m x k).
+      Gemm(GemmLayout::kTransA, pa->value, self->grad, &pb->grad, /*accumulate=*/true);
     }
   };
   return node;
@@ -419,17 +422,24 @@ Var Transpose(const Var& a) {
   return node;
 }
 
-Var MaskedMeanRows(const Var& x, const Tensor& mask) {
-  QPS_CHECK(mask.rows() == x->value.rows() && mask.cols() == 1)
-      << "MaskedMeanRows mask shape";
+float MaskedMeanRowsInto(const Tensor& x, const Tensor& mask, float* out) {
+  QPS_CHECK(mask.rows() == x.rows() && mask.cols() == 1) << "MaskedMeanRows mask shape";
   float count = 0.0f;
   for (int64_t i = 0; i < mask.rows(); ++i) count += mask(i, 0);
   const float inv = count > 0.0f ? 1.0f / count : 0.0f;
-  Tensor out(1, x->value.cols());
-  for (int64_t i = 0; i < x->value.rows(); ++i) {
+  const int64_t cols = x.cols();
+  std::fill(out, out + cols, 0.0f);
+  for (int64_t i = 0; i < x.rows(); ++i) {
     if (mask(i, 0) == 0.0f) continue;
-    for (int64_t j = 0; j < x->value.cols(); ++j) out(0, j) += x->value(i, j) * inv;
+    const float* row = x.data() + i * cols;
+    for (int64_t j = 0; j < cols; ++j) out[j] += row[j] * inv;
   }
+  return inv;
+}
+
+Var MaskedMeanRows(const Var& x, const Tensor& mask) {
+  Tensor out(1, x->value.cols());
+  const float inv = MaskedMeanRowsInto(x->value, mask, out.data());
   Var node = MakeOp(std::move(out), {x});
   Node* self = node.get();
   Var px = x;

@@ -91,6 +91,10 @@ Var Transpose(const Var& a);
 /// Mean over rows weighted by a constant 0/1 mask (m x 1): output 1 x n.
 /// Rows with mask 0 are ignored; if the mask is all-zero the output is zero.
 Var MaskedMeanRows(const Var& x, const Tensor& mask);
+/// The kernel behind MaskedMeanRows' forward, for autograd-free callers:
+/// writes the masked mean of x's rows to out[0, x.cols()). Returns the
+/// weight 1/count each kept row got (0 for an all-zero mask).
+float MaskedMeanRowsInto(const Tensor& x, const Tensor& mask, float* out);
 /// Unmasked mean over rows: output 1 x n.
 Var MeanRows(const Var& x);
 

@@ -99,9 +99,6 @@ class Linear : public Module {
   /// Autograd-free inference path: *out = x @ W + b. `out` is resized.
   void ForwardTensor(const Tensor& x, Tensor* out) const;
 
-  int64_t in_features() const { return in_; }
-  int64_t out_features() const { return out_; }
-
   /// Direct parameter access (e.g. for custom bias initialization).
   const Var& weight() const { return w_; }
   const Var& bias() const { return b_; }
@@ -110,7 +107,6 @@ class Linear : public Module {
   /// per-tensor; output layers opt into per-channel). Must be set before
   /// QuantizeModule / SaveModuleQuantized.
   void set_quant_scheme(QuantScheme scheme) { quant_scheme_ = scheme; }
-  QuantScheme quant_scheme() const { return quant_scheme_; }
 
  private:
   int64_t in_, out_;

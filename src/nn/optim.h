@@ -77,9 +77,6 @@ class Adam : public Optimizer {
       const std::unordered_map<std::string, const Tensor*>& tensors,
       const std::unordered_map<std::string, double>& scalars) override;
 
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
-
  private:
   float lr_, beta1_, beta2_, eps_;
   int64_t t_ = 0;

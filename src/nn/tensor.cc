@@ -302,20 +302,6 @@ void Gemm(GemmLayout layout, const Tensor& a, const Tensor& b, Tensor* out,
   if (record_metric) GemmMetrics::Get().gemm_ms->Record(timer->ElapsedMillis());
 }
 
-void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  Gemm(GemmLayout::kNone, a, b, out, /*accumulate=*/false);
-}
-
-void MatMulTransBInto(const Tensor& a, const Tensor& b, Tensor* out, bool accumulate) {
-  // out (m x n) (+)= a (m x k) @ b^T (k x n) where b is (n x k).
-  Gemm(GemmLayout::kTransB, a, b, out, accumulate);
-}
-
-void MatMulTransAInto(const Tensor& a, const Tensor& b, Tensor* out, bool accumulate) {
-  // out (k x n) (+)= a^T (k x m) @ b (m x n) where a is (m x k).
-  Gemm(GemmLayout::kTransA, a, b, out, accumulate);
-}
-
 void GatherDots(const float* QPS_RESTRICT q, int64_t d, const float* QPS_RESTRICT base,
                 int64_t stride, const int* QPS_RESTRICT rows, int64_t n,
                 float* QPS_RESTRICT out) {

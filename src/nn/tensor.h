@@ -97,13 +97,6 @@ enum class GemmLayout { kNone, kTransA, kTransB };
 void Gemm(GemmLayout layout, const Tensor& a, const Tensor& b, Tensor* out,
           bool accumulate);
 
-/// out = a @ b. Shapes must agree ((m x k) @ (k x n)).
-void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out);
-
-/// out += a @ b^T and out += a^T @ b, used by MatMul backward.
-void MatMulTransBInto(const Tensor& a, const Tensor& b, Tensor* out, bool accumulate);
-void MatMulTransAInto(const Tensor& a, const Tensor& b, Tensor* out, bool accumulate);
-
 /// Gathered products for attention over rows of a shared row-major matrix
 /// `base` (row stride `stride`), read in place through row ids. Each
 /// rounds exactly like the Gemm it replaces, so the results are

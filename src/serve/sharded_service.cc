@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/window.h"
 #include "util/fault.h"
 #include "util/metrics.h"
 
@@ -149,23 +148,6 @@ std::future<StatusOr<core::PlanResult>> ShardedPlanService::Submit(
             : "no such tenant: " + request.tenant_id));
   }
   return core->Submit(std::move(request));
-}
-
-void ShardedPlanService::RecordQError(const std::string& tenant_id,
-                                      double qerror) {
-  if (FindCore(tenant_id) == nullptr) return;
-  obs::OwnedHistogram* qerr = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(qerr_mu_);
-    std::unique_ptr<obs::OwnedHistogram>& slot = qerr_[tenant_id];
-    if (slot == nullptr) {
-      slot = std::make_unique<obs::OwnedHistogram>(
-          "qps.tenant.qerr", obs::Feed::kCumulative, "qps.tenant.qerr",
-          tenant_id);
-    }
-    qerr = slot.get();
-  }
-  qerr->Record(qerror);
 }
 
 StatusOr<PlanService::Stats> ShardedPlanService::TenantStats(

@@ -37,10 +37,8 @@
 //
 // Metrics: every tenant core feeds qps.tenant.{requests,shed,
 // latency_ms}.<tenant_id> windowed series and the qps.serve.* families;
-// RecordQError feeds qps.tenant.qerr.<tenant_id> (and the cumulative
-// qps.tenant.qerr) from execution feedback; the breaker feeds
-// qps.health.{state,quarantines,probes,recoveries}.<key>; qps.tenant.count
-// gauges the tenant tables.
+// the breaker feeds qps.health.{state,quarantines,probes,recoveries}.<key>;
+// qps.tenant.count gauges the tenant tables.
 
 #ifndef QPS_SERVE_SHARDED_SERVICE_H_
 #define QPS_SERVE_SHARDED_SERVICE_H_
@@ -130,10 +128,6 @@ class ShardedPlanService {
   /// future immediately with kNotFound.
   std::future<StatusOr<core::PlanResult>> Submit(PlanRequest request);
 
-  /// Execution feedback: records one runtime q-error sample into the
-  /// tenant's qps.tenant.qerr.<id> window. Unknown tenants are ignored.
-  void RecordQError(const std::string& tenant_id, double qerror);
-
   /// Deterministic shard assignment (pure function of id + shard count).
   int ShardOf(const std::string& tenant_id) const {
     return ring_.ShardFor(tenant_id);
@@ -189,11 +183,6 @@ class ShardedPlanService {
   /// pointer to the monitor, so it must be destroyed after them.
   core::HealthMonitor health_;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  std::mutex qerr_mu_;
-  /// Execution q-error per tenant, created on first feedback; guarded by
-  /// qerr_mu_.
-  std::map<std::string, std::unique_ptr<obs::OwnedHistogram>> qerr_;
 };
 
 }  // namespace serve

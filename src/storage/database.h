@@ -38,7 +38,6 @@ class Database {
 
   int num_tables() const { return static_cast<int>(tables_.size()); }
   const Table& table(int idx) const { return *tables_[static_cast<size_t>(idx)]; }
-  Table* mutable_table(int idx) { return tables_[static_cast<size_t>(idx)].get(); }
 
   /// Table index by name, or -1.
   int TableIndex(const std::string& name) const;

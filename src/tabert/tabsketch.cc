@@ -108,14 +108,14 @@ nn::Tensor TabSketch::Project(const nn::Tensor& raw) const {
   Timer timer;
   const int dim = config_.ResolvedDim();
   nn::Tensor h(1, dim);
-  nn::MatMulInto(raw, projection_, &h);
+  nn::Gemm(nn::GemmLayout::kNone, raw, projection_, &h, /*accumulate=*/false);
   for (int64_t j = 0; j < dim; ++j) h(0, j) = std::tanh(h(0, j));
   // K rounds of mixing emulate TaBERT's per-row vertical attention: K=3 and
   // the large model do proportionally more work (Figure 8 right).
   const int rounds = config_.k * (config_.size == ModelSize::kLarge ? 3 : 1);
   nn::Tensor tmp(1, dim);
   for (int r = 0; r < rounds; ++r) {
-    nn::MatMulInto(h, mixer_, &tmp);
+    nn::Gemm(nn::GemmLayout::kNone, h, mixer_, &tmp, /*accumulate=*/false);
     for (int64_t j = 0; j < dim; ++j) h(0, j) = std::tanh(tmp(0, j) + h(0, j));
   }
   total_time_ms_.fetch_add(timer.ElapsedMillis(), std::memory_order_relaxed);
@@ -132,7 +132,7 @@ nn::Tensor TabSketch::ColumnRepresentation(int table, int column,
   return Project(RawColumnFeatures(table, column, pred));
 }
 
-nn::Tensor TabSketch::TableRepresentation(int table) const {
+const nn::Tensor& TabSketch::TableRepresentation(int table) const {
   return table_reps_[static_cast<size_t>(table)];
 }
 

@@ -63,8 +63,9 @@ class TabSketch {
                                   const query::FilterPredicate* pred) const;
 
   /// [CLS]-style whole-table representation (pooled column sketches plus
-  /// table-level size features). Output: 1 x embedding_dim.
-  nn::Tensor TableRepresentation(int table) const;
+  /// table-level size features). Output: 1 x embedding_dim, held for the
+  /// TabSketch's lifetime.
+  const nn::Tensor& TableRepresentation(int table) const;
 
   /// Representation of the data a scan node processes: the filtered column
   /// if the query filters this relation, otherwise the table [CLS].

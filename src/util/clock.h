@@ -21,7 +21,6 @@ class Clock {
   /// Nanoseconds since an arbitrary (per-clock) epoch. Monotonic.
   virtual int64_t NowNanos() const = 0;
 
-  double NowMicros() const { return static_cast<double>(NowNanos()) * 1e-3; }
   double NowMillis() const { return static_cast<double>(NowNanos()) * 1e-6; }
   double NowSeconds() const { return static_cast<double>(NowNanos()) * 1e-9; }
 

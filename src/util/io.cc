@@ -3,7 +3,6 @@
 #include "util/io.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -98,11 +97,6 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
   buf << in.rdbuf();
   if (in.bad()) return Status::IOError("read failed: " + path);
   return std::move(buf).str();
-}
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
 }
 
 }  // namespace io

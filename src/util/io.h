@@ -30,9 +30,6 @@ Status AtomicWriteFile(const std::string& path, const std::string& contents);
 /// opened or read; never returns partial contents.
 StatusOr<std::string> ReadFileToString(const std::string& path);
 
-/// True when `path` exists (any file type).
-bool FileExists(const std::string& path);
-
 }  // namespace io
 }  // namespace qps
 

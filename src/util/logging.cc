@@ -30,7 +30,6 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level; }
 void SetLogLevel(LogLevel level) { g_level = level; }
 
 int GetVerbosity() { return g_verbosity.load(std::memory_order_relaxed); }

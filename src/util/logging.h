@@ -19,7 +19,6 @@ namespace qps {
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
 
 /// Global minimum level; messages below it are dropped. Default kInfo.
-LogLevel GetLogLevel();
 void SetLogLevel(LogLevel level);
 
 /// Verbosity for QPS_VLOG(n): messages with n <= verbosity are emitted
@@ -71,12 +70,6 @@ class LogMessage {
   if (!(cond))                                                   \
   ::qps::internal::LogMessage(::qps::LogLevel::kFatal, __FILE__, __LINE__) \
       << "Check failed: " #cond " "
-
-#define QPS_CHECK_OK(expr)                                       \
-  do {                                                           \
-    ::qps::Status _st = (expr);                                  \
-    QPS_CHECK(_st.ok()) << _st.ToString();                       \
-  } while (0)
 
 #define QPS_DCHECK(cond) QPS_CHECK(cond)
 

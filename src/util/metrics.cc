@@ -163,13 +163,6 @@ Snapshot Registry::TakeSnapshot() const {
   return snap;
 }
 
-void Registry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, hist] : histograms_) hist->Reset();
-}
-
 std::string RenderText(const Snapshot& snapshot) {
   std::string out;
   char buf[256];

@@ -51,7 +51,6 @@ class Gauge {
  public:
   void Set(double v) { bits_.store(Encode(v), std::memory_order_relaxed); }
   double value() const { return Decode(bits_.load(std::memory_order_relaxed)); }
-  void Reset() { Set(0.0); }
 
  private:
   static uint64_t Encode(double v);
@@ -114,9 +113,6 @@ class Registry {
   Histogram* GetHistogram(const std::string& name);
 
   Snapshot TakeSnapshot() const;
-
-  /// Zeroes every registered metric (bench harness runs, tests).
-  void ResetAll();
 
  private:
   Registry() = default;

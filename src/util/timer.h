@@ -25,9 +25,6 @@ class Timer {
   double ElapsedMillis() const {
     return static_cast<double>(clock_->NowNanos() - start_) * 1e-6;
   }
-  double ElapsedMicros() const {
-    return static_cast<double>(clock_->NowNanos() - start_) * 1e-3;
-  }
 
  private:
   const Clock* clock_;

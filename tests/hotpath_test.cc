@@ -14,6 +14,7 @@
 #include <string>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/mcts.h"
@@ -100,25 +101,6 @@ TEST(TiledGemmTest, AccumulateAddsIntoExistingOutput) {
   for (int64_t i = 0; i < ref.size(); ++i) {
     ASSERT_NEAR(ref.at(i) + 2.5f, got.at(i), 1e-3);
   }
-}
-
-TEST(TiledGemmTest, LegacyEntryPointsRouteThroughGemm) {
-  Rng rng(13);
-  const nn::Tensor a = nn::Tensor::Randn(5, 18, &rng);
-  const nn::Tensor b = nn::Tensor::Randn(18, 7, &rng);
-  nn::Tensor out(5, 7);
-  nn::MatMulInto(a, b, &out);
-  ExpectTensorsNear(NaiveGemm(nn::GemmLayout::kNone, a, b), out, 1e-4);
-
-  const nn::Tensor bt = nn::Tensor::Randn(7, 18, &rng);
-  nn::Tensor out_tb(5, 7);
-  nn::MatMulTransBInto(a, bt, &out_tb, /*accumulate=*/false);
-  ExpectTensorsNear(NaiveGemm(nn::GemmLayout::kTransB, a, bt), out_tb, 1e-4);
-
-  const nn::Tensor at = nn::Tensor::Randn(18, 5, &rng);
-  nn::Tensor out_ta(5, 7);
-  nn::MatMulTransAInto(at, b, &out_ta, /*accumulate=*/false);
-  ExpectTensorsNear(NaiveGemm(nn::GemmLayout::kTransA, at, b), out_ta, 1e-4);
 }
 
 // Row i of an m-row product must bit-equal the same row computed alone, for
@@ -247,6 +229,24 @@ class HotPathTest : public ::testing::Test {
     return seeker;
   }
 
+  /// Batched inference against the autograd reference, plan by plan. Both
+  /// read their node inputs from the one featurizer; they may differ only
+  /// in the rounding of the layers downstream of it.
+  static void ExpectBatchedMatchesReference(const QpSeeker& seeker, const query::Query& q,
+                                            const std::vector<const query::PlanNode*>& plans) {
+    const auto batched = seeker.PredictPlansBatch(q, plans);
+    ASSERT_EQ(batched.size(), plans.size());
+    for (size_t i = 0; i < plans.size(); ++i) {
+      const auto ref = seeker.PredictPlanReference(q, *plans[i]);
+      const double tol_card = 1e-5 * std::max(1.0, std::abs(ref.cardinality));
+      const double tol_cost = 1e-5 * std::max(1.0, std::abs(ref.cost));
+      const double tol_rt = 1e-5 * std::max(1.0, std::abs(ref.runtime_ms));
+      EXPECT_NEAR(batched[i].cardinality, ref.cardinality, tol_card) << "plan " << i;
+      EXPECT_NEAR(batched[i].cost, ref.cost, tol_cost) << "plan " << i;
+      EXPECT_NEAR(batched[i].runtime_ms, ref.runtime_ms, tol_rt) << "plan " << i;
+    }
+  }
+
   /// All sampled plans that belong to the same query as qep[0].
   std::vector<const query::PlanNode*> PlansOfFirstQuery(int* query_id) const {
     *query_id = dataset_.qeps[0].query_id;
@@ -262,23 +262,40 @@ class HotPathTest : public ::testing::Test {
   sampling::QepDataset dataset_;
 };
 
+// Every branch of the node featurizer, in the default model and under each
+// ablation (TabSketch representation zeroed, plain concatenation instead of
+// attention, deterministic head instead of the VAE): the candidate plans of
+// one query, and one-node plans (a root leaf, which attention does not
+// attend) over a filtered column and over a table [CLS].
 TEST_F(HotPathTest, BatchedForwardMatchesAutogradReference) {
-  QpSeeker seeker = MakeTrained();
   int qid = 0;
   const auto plans = PlansOfFirstQuery(&qid);
   ASSERT_GE(plans.size(), 2u);
-  const auto& q = dataset_.queries[static_cast<size_t>(qid)];
-
-  const auto batched = seeker.PredictPlansBatch(q, plans);
-  ASSERT_EQ(batched.size(), plans.size());
-  for (size_t i = 0; i < plans.size(); ++i) {
-    const auto ref = seeker.PredictPlanReference(q, *plans[i]);
-    const double tol_card = 1e-5 * std::max(1.0, std::abs(ref.cardinality));
-    const double tol_cost = 1e-5 * std::max(1.0, std::abs(ref.cost));
-    const double tol_rt = 1e-5 * std::max(1.0, std::abs(ref.runtime_ms));
-    EXPECT_NEAR(batched[i].cardinality, ref.cardinality, tol_card) << "plan " << i;
-    EXPECT_NEAR(batched[i].cost, ref.cost, tol_cost) << "plan " << i;
-    EXPECT_NEAR(batched[i].runtime_ms, ref.runtime_ms, tol_rt) << "plan " << i;
+  std::vector<std::pair<query::Query, std::vector<query::PlanPtr>>> scans;
+  for (const char* sql : {"SELECT COUNT(*) FROM a WHERE a.a2 < 4;", "SELECT COUNT(*) FROM b;"}) {
+    auto q = query::ParseSql(sql, *db_);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    std::vector<query::PlanPtr> leaves;
+    for (const query::OpType scan : query::ScanOps()) {
+      leaves.push_back(query::BuildLeftDeepPlan(*q, {0}, {scan}, {}));
+      ASSERT_TRUE(leaves.back() != nullptr && leaves.back()->is_leaf());
+    }
+    scans.emplace_back(std::move(q).value(), std::move(leaves));
+  }
+  for (const char* variant : {"default", "use_data_repr", "use_attention", "use_vae"}) {
+    SCOPED_TRACE(variant);
+    QpSeekerConfig cfg = QpSeekerConfig::ForScale(Scale::kSmoke);
+    const std::string ablated = variant;
+    if (ablated == "use_data_repr") cfg.encoder.use_data_repr = false;
+    if (ablated == "use_attention") cfg.use_attention = false;
+    if (ablated == "use_vae") cfg.use_vae = false;
+    const QpSeeker seeker = MakeTrained(12, cfg);
+    ExpectBatchedMatchesReference(seeker, dataset_.queries[static_cast<size_t>(qid)], plans);
+    for (const auto& [q, leaves] : scans) {
+      std::vector<const query::PlanNode*> one_node;
+      for (const auto& leaf : leaves) one_node.push_back(leaf.get());
+      ExpectBatchedMatchesReference(seeker, q, one_node);
+    }
   }
 }
 
