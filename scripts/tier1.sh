@@ -52,6 +52,9 @@ if grep -rnF -e 'std::tanh(' -e '1.0f / (1.0f + std::exp' \
   exit 1
 fi
 
+echo "== tier-1: one-primitive lint (JsonEscape, AtomicAddDouble, splitmix64) =="
+./scripts/check_one_primitive.sh
+
 echo "== tier-1: release build + full ctest =="
 cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 cmake --build build -j

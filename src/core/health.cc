@@ -82,12 +82,17 @@ HealthMonitor::Key& HealthMonitor::GetKeyLocked(const std::string& key) {
   return it->second;
 }
 
-void HealthMonitor::TrimLocked(Key& k, double now_ms) const {
+bool HealthMonitor::SampleLocked(Key& k, const Status& outcome,
+                                 double now_ms) const {
   const double horizon = now_ms - options_.window_ms;
   while (!k.samples.empty() && k.samples.front().first < horizon) {
     if (k.samples.front().second) k.window_failures -= 1;
     k.samples.pop_front();
   }
+  const bool failure = !outcome.ok();
+  k.samples.emplace_back(now_ms, failure);
+  if (failure) k.window_failures += 1;
+  return failure;
 }
 
 void HealthMonitor::OpenLocked(const std::string& name, Key& k,
@@ -138,12 +143,7 @@ void HealthMonitor::Record(const std::string& key, const Status& outcome,
   std::lock_guard<std::mutex> lock(mu_);
   Key& k = GetKeyLocked(key);
   const double now_ms = clock().NowMillis();
-  const bool failure =
-      !outcome.ok() && (options_.timeouts_are_failures ||
-                        !outcome.IsDeadlineExceeded());
-  TrimLocked(k, now_ms);
-  k.samples.emplace_back(now_ms, failure);
-  if (failure) k.window_failures += 1;
+  const bool failure = SampleLocked(k, outcome, now_ms);
 
   if (probe && k.state == HealthState::kHalfOpen) {
     k.probes_inflight = std::max(0, k.probes_inflight - 1);
@@ -177,14 +177,7 @@ void HealthMonitor::Record(const std::string& key, const Status& outcome,
 void HealthMonitor::RecordObserved(const std::string& key,
                                    const Status& outcome) {
   std::lock_guard<std::mutex> lock(mu_);
-  Key& k = GetKeyLocked(key);
-  const double now_ms = clock().NowMillis();
-  const bool failure =
-      !outcome.ok() && (options_.timeouts_are_failures ||
-                        !outcome.IsDeadlineExceeded());
-  TrimLocked(k, now_ms);
-  k.samples.emplace_back(now_ms, failure);
-  if (failure) k.window_failures += 1;
+  SampleLocked(GetKeyLocked(key), outcome, clock().NowMillis());
 }
 
 void HealthMonitor::AbandonProbe(const std::string& key) {

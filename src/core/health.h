@@ -62,7 +62,9 @@ struct HealthOptions {
   /// single early failure is not a pattern).
   int min_samples = 8;
 
-  /// Error-rate trip threshold over the window (errors / attempts).
+  /// Error-rate trip threshold over the window (errors / attempts). Every
+  /// non-OK outcome is an error, kDeadlineExceeded included: a stalling
+  /// model is as quarantinable as a throwing one.
   double open_error_rate = 0.5;
 
   /// Quarantine duration before the breaker half-opens and lets probe
@@ -74,10 +76,6 @@ struct HealthOptions {
 
   /// Consecutive successful probes required to close (recover).
   int probe_recoveries = 3;
-
-  /// Count kDeadlineExceeded attempts as failures (timeouts are a health
-  /// signal: a stalling model is as quarantinable as a throwing one).
-  bool timeouts_are_failures = true;
 
   /// Injectable time source; nullptr = Clock::Default().
   const Clock* clock = nullptr;
@@ -146,7 +144,9 @@ class HealthMonitor {
   }
 
   Key& GetKeyLocked(const std::string& key);
-  void TrimLocked(Key& k, double now_ms) const;
+  /// Trims `k`'s window to now and appends one sample of `outcome`;
+  /// returns whether it counted as a failure.
+  bool SampleLocked(Key& k, const Status& outcome, double now_ms) const;
   void OpenLocked(const std::string& name, Key& k, double now_ms);
 
   HealthOptions options_;

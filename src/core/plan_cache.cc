@@ -5,21 +5,16 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/hash.h"
 
 namespace qps {
 namespace core {
 
 namespace {
 
-// splitmix64 finalizer: cheap, well-distributed 64-bit mixing.
-inline uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+inline uint64_t Combine(uint64_t seed, uint64_t v) {
+  return util::Mix64(seed ^ util::Mix64(v));
 }
-
-inline uint64_t Combine(uint64_t seed, uint64_t v) { return Mix(seed ^ Mix(v)); }
 
 uint64_t HashString(uint64_t seed, const std::string& s) {
   seed = Combine(seed, s.size());

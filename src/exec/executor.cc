@@ -266,6 +266,8 @@ StatusOr<Executor::RowSet> Executor::ExecJoin(const Query& q, PlanNode* node) {
   auto key_of = [&](const RowSet& rs, bool is_left, int64_t row) {
     // Composite key folded with a hash; exactness is preserved by comparing
     // doubles directly (we fold bit patterns, collisions re-checked below).
+    // The seed is FNV's 64-bit offset basis missing its last digit, as in
+    // serve::TenantHash; any seed works for an in-memory join table.
     uint64_t h = 1469598103934665603ULL;
     for (const auto& k : keys) {
       const int col = is_left ? k.left_col : k.right_col;

@@ -2,50 +2,21 @@
 
 #include "obs/audit.h"
 
-#include <cmath>
 #include <cstdio>
 #include <memory>
 
 #include "util/clock.h"
 #include "util/metrics.h"
+#include "util/string_util.h"
 
 namespace qps {
 namespace obs {
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string Num(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string RenderAuditJson(const AuditRecord& record, double ts_ms) {
   char hash_hex[24];
   std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
                 static_cast<unsigned long long>(record.query_hash));
-  std::string out = "{\"ts_ms\":" + Num(ts_ms);
+  std::string out = "{\"ts_ms\":" + JsonNumber(ts_ms);
   out += ",\"query_hash\":\"" + std::string(hash_hex) + "\"";
   out += ",\"backend\":\"" + JsonEscape(record.backend) + "\"";
   if (!record.tenant.empty()) {
@@ -55,8 +26,8 @@ std::string RenderAuditJson(const AuditRecord& record, double ts_ms) {
   out += ",\"outcome\":\"" + JsonEscape(record.outcome) + "\"";
   out += ",\"deadline_hit\":";
   out += record.deadline_hit ? "true" : "false";
-  out += ",\"queue_ms\":" + Num(record.queue_ms);
-  out += ",\"plan_ms\":" + Num(record.plan_ms);
+  out += ",\"queue_ms\":" + JsonNumber(record.queue_ms);
+  out += ",\"plan_ms\":" + JsonNumber(record.plan_ms);
   out += ",\"plans_evaluated\":" + std::to_string(record.plans_evaluated);
   out += ",\"fallback\":\"" + JsonEscape(record.fallback_reason) + "\"";
   if (!record.reason.empty()) {

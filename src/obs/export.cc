@@ -11,6 +11,7 @@
 
 #include "obs/accuracy.h"
 #include "util/io.h"
+#include "util/string_util.h"
 
 namespace qps {
 namespace obs {
@@ -38,31 +39,6 @@ std::string PromDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-std::string JsonDouble(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 void AppendTyped(std::string* out, const std::string& prom_name,
@@ -218,7 +194,7 @@ std::string RenderObsJson(int64_t seq) {
   const AccuracyTracker::Report drift = AccuracyTracker::Global().Peek();
 
   std::string out = "{\"ts_ms\":" +
-                    JsonDouble(Clock::Default()->NowMillis()) +
+                    JsonNumber(Clock::Default()->NowMillis()) +
                     ",\"seq\":" + std::to_string(seq) + ",\"metrics\":";
   out += metrics::RenderJson(metric_snap);
 
@@ -229,7 +205,7 @@ std::string RenderObsJson(int64_t seq) {
     first = false;
     out += "\"" + JsonEscape(c.name) + "\":{\"total\":" +
            std::to_string(c.total) +
-           ",\"rate\":" + JsonDouble(c.rate_per_sec) + "}";
+           ",\"rate\":" + JsonNumber(c.rate_per_sec) + "}";
   }
   out += "},\"histograms\":{";
   first = true;
@@ -238,14 +214,14 @@ std::string RenderObsJson(int64_t seq) {
     first = false;
     out += "\"" + JsonEscape(h.name) + "\":{\"count\":" +
            std::to_string(h.hist.count) +
-           ",\"rate\":" + JsonDouble(h.rate_per_sec) +
-           ",\"p50\":" + JsonDouble(h.hist.Percentile(50)) +
-           ",\"p90\":" + JsonDouble(h.hist.Percentile(90)) +
-           ",\"p99\":" + JsonDouble(h.hist.Percentile(99)) + "}";
+           ",\"rate\":" + JsonNumber(h.rate_per_sec) +
+           ",\"p50\":" + JsonNumber(h.hist.Percentile(50)) +
+           ",\"p90\":" + JsonNumber(h.hist.Percentile(90)) +
+           ",\"p99\":" + JsonNumber(h.hist.Percentile(99)) + "}";
   }
-  out += "}},\"drift\":{\"score\":" + JsonDouble(drift.drift_score) +
-         ",\"qerr_p50\":" + JsonDouble(drift.qerr_p50) +
-         ",\"qerr_p95\":" + JsonDouble(drift.qerr_p95) +
+  out += "}},\"drift\":{\"score\":" + JsonNumber(drift.drift_score) +
+         ",\"qerr_p50\":" + JsonNumber(drift.qerr_p50) +
+         ",\"qerr_p95\":" + JsonNumber(drift.qerr_p95) +
          ",\"samples\":" + std::to_string(drift.samples) +
          ",\"drifted\":" + (drift.drifted ? "true" : "false") + "}}";
   return out;

@@ -4,17 +4,22 @@
 // registry (util/metrics.h) is cumulative-since-process-start: it answers
 // "how many requests ever ran" but not "what was p99 latency over the last
 // 30 seconds", which is the view a serving dashboard needs. WindowedCounter
-// and WindowedHistogram close that gap with a time-bucketed ring: N slots
-// of W milliseconds each (default 10 x 3000 ms = a 30 s sliding window).
+// and WindowedHistogram close that gap as two views of one time-bucketed
+// ring, internal::WindowRing: N slots of W milliseconds each (default
+// 10 x 3000 ms = a 30 s sliding window), each slot an epoch plus one of
+// the registry's own metrics, a metrics::Counter or a metrics::Histogram.
+// The bucket grid, bucket search and CAS sum are therefore the registry's,
+// and a rotation is the slot metric's Reset().
 //
 // Hot path: one relaxed atomic load of the global enable flag, one clock
-// read, and one-or-two relaxed atomic adds — no lock, no allocation. Slot
-// rotation is claimed with a CAS on the slot's epoch; the winner zeroes the
-// slot. A concurrent Record that lands between the claim and the zeroing
-// can lose its sample — windowed values are approximate by design at slot
-// boundaries (the cumulative registry stays exact). Readers merge the live
-// slots into a point-in-time view; a slot whose epoch fell out of the
-// window is skipped, so stale data ages out without a background thread.
+// read, and the slot metric's relaxed atomic adds — no lock, no
+// allocation. Slot rotation is claimed with a CAS on the slot's epoch; the
+// winner resets the slot. A concurrent write that lands between the claim
+// and the reset can lose its sample — windowed values are approximate by
+// design at slot boundaries (the cumulative registry stays exact). Readers
+// merge the live slots into a point-in-time view; a slot whose epoch fell
+// out of the window is skipped, so stale data ages out without a
+// background thread.
 //
 // When windowed instrumentation is globally disabled
 // (SetWindowedEnabled(false)), Increment/Record return after a single
@@ -58,20 +63,35 @@ struct WindowOptions {
   const Clock* clock = nullptr;
 };
 
-/// Sliding-window event counter: Total() and RatePerSec() over the last
-/// `slots * slot_width_ms` milliseconds. Thread-safe.
-class WindowedCounter {
+namespace internal {
+
+/// The one ring behind every windowed series: `opts.slots` slots, each an
+/// epoch plus a `Metric` (metrics::Counter or metrics::Histogram).
+/// Thread-safe; instantiated for those two metrics in window.cc.
+template <typename Metric>
+class WindowRing {
  public:
-  explicit WindowedCounter(WindowOptions opts = {});
+  explicit WindowRing(WindowOptions opts);
 
-  void Increment(int64_t delta = 1);
+  /// The slot metric of the current epoch. A slot still holding an older
+  /// epoch is claimed with one CAS and the winner Reset()s it first.
+  Metric& Current();
 
-  /// Sum over the live window (including the current partial slot).
-  int64_t Total() const;
+  /// Calls `fn(const Metric&)` on every slot whose epoch is inside the
+  /// window, the current partial slot included.
+  template <typename Fn>
+  void ForEachLive(Fn&& fn) const {
+    const int64_t epoch = EpochNow();
+    const int64_t oldest = epoch - opts_.slots + 1;
+    for (const Slot& slot : slots_) {
+      const int64_t slot_epoch = slot.epoch.load(std::memory_order_relaxed);
+      if (slot_epoch >= oldest && slot_epoch <= epoch) fn(slot.metric);
+    }
+  }
 
-  /// Total() divided by the covered span: the window span once the ring is
-  /// warm, the elapsed lifetime before that.
-  double RatePerSec() const;
+  /// `events` divided by the covered span: the window span once the ring
+  /// is warm, the elapsed lifetime before that.
+  double RatePerSec(int64_t events) const;
 
   double window_span_ms() const {
     return static_cast<double>(opts_.slots) * opts_.slot_width_ms;
@@ -80,7 +100,7 @@ class WindowedCounter {
  private:
   struct Slot {
     std::atomic<int64_t> epoch{-1};
-    std::atomic<int64_t> value{0};
+    Metric metric;
   };
 
   const Clock& clock() const;
@@ -91,12 +111,34 @@ class WindowedCounter {
   int64_t created_ns_ = 0;
 };
 
-/// Sliding-window latency histogram on the same bucket grid as
-/// metrics::Histogram, yielding rolling p50/p90/p99 via SnapshotWindow().
-/// Thread-safe; same rotation semantics as WindowedCounter.
+}  // namespace internal
+
+/// Sliding-window event counter: Total() and RatePerSec() over the last
+/// `slots * slot_width_ms` milliseconds. Thread-safe.
+class WindowedCounter {
+ public:
+  explicit WindowedCounter(WindowOptions opts = {}) : ring_(opts) {}
+
+  void Increment(int64_t delta = 1);
+
+  /// Sum over the live window (including the current partial slot).
+  int64_t Total() const;
+
+  /// Total() per second of the covered span (see WindowRing::RatePerSec).
+  double RatePerSec() const { return ring_.RatePerSec(Total()); }
+
+  double window_span_ms() const { return ring_.window_span_ms(); }
+
+ private:
+  internal::WindowRing<metrics::Counter> ring_;
+};
+
+/// Sliding-window latency histogram: a ring of metrics::Histogram slots,
+/// yielding rolling p50/p90/p99 via SnapshotWindow(). Thread-safe; same
+/// rotation semantics as WindowedCounter.
 class WindowedHistogram {
  public:
-  explicit WindowedHistogram(WindowOptions opts = {});
+  explicit WindowedHistogram(WindowOptions opts = {}) : ring_(opts) {}
 
   void Record(double value_ms);
 
@@ -105,30 +147,15 @@ class WindowedHistogram {
   metrics::HistogramSnapshot SnapshotWindow() const;
 
   double Percentile(double p) const { return SnapshotWindow().Percentile(p); }
-  int64_t Count() const { return SnapshotWindow().count; }
+  int64_t Count() const;
 
   /// Events per second over the covered span (see WindowedCounter).
-  double RatePerSec() const;
+  double RatePerSec() const { return ring_.RatePerSec(Count()); }
 
-  double window_span_ms() const {
-    return static_cast<double>(opts_.slots) * opts_.slot_width_ms;
-  }
+  double window_span_ms() const { return ring_.window_span_ms(); }
 
  private:
-  struct Slot {
-    std::atomic<int64_t> epoch{-1};
-    std::atomic<int64_t> buckets[metrics::Histogram::kNumBuckets + 1] = {};
-    std::atomic<int64_t> count{0};
-    std::atomic<uint64_t> sum_bits{0};
-  };
-
-  const Clock& clock() const;
-  int64_t EpochNow() const;
-  double CoveredSeconds() const;
-
-  WindowOptions opts_;
-  std::vector<Slot> slots_;
-  int64_t created_ns_ = 0;
+  internal::WindowRing<metrics::Histogram> ring_;
 };
 
 /// Point-in-time copy of every windowed metric, for the export surface.
@@ -149,15 +176,15 @@ struct WindowSnapshot {
 
 /// Global name -> windowed metric table, mirroring metrics::Registry.
 /// Pointers stay valid for the process lifetime; callers cache them in
-/// function-local statics exactly like cumulative metrics. The first Get*
-/// for a name fixes its WindowOptions.
+/// function-local statics exactly like cumulative metrics. Every registry
+/// series uses the default WindowOptions; a caller that needs another
+/// window (a test's ManualClock) builds its own WindowedCounter.
 class WindowRegistry {
  public:
   static WindowRegistry& Global();
 
-  WindowedCounter* GetCounter(const std::string& name, WindowOptions opts = {});
-  WindowedHistogram* GetHistogram(const std::string& name,
-                                  WindowOptions opts = {});
+  WindowedCounter* GetCounter(const std::string& name);
+  WindowedHistogram* GetHistogram(const std::string& name);
 
   WindowSnapshot TakeSnapshot() const;
 

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "util/hash.h"
 #include "util/status.h"
 
 namespace qps {
@@ -48,10 +49,8 @@ struct RetryPolicy {
     if (jitter_frac > 0.0) {
       // splitmix64 finalizer over (seed, attempt): deterministic,
       // stateless, well-mixed even for adjacent seeds.
-      uint64_t z = seed + 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(attempt + 1);
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      z ^= z >> 31;
+      const uint64_t z = util::SplitMix64Finalize(
+          seed + util::kSplitMixGamma * static_cast<uint64_t>(attempt + 1));
       const double unit =
           static_cast<double>(z >> 11) * (1.0 / 9007199254740992.0);  // [0,1)
       backoff *= 1.0 + jitter_frac * (2.0 * unit - 1.0);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "util/hash.h"
+
 namespace qps {
 namespace serve {
 
@@ -26,20 +28,18 @@ Status ValidateTenantId(const std::string& id) {
 }
 
 uint64_t TenantHash(std::string_view s) {
-  uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+  // FNV-1a with seed 1469598103934665603, which is FNV's 64-bit offset
+  // basis (14695981039346656037) missing its last digit. The seed stays:
+  // it places every tenant on its shard.
+  uint64_t h = 1469598103934665603ULL;
   for (char c : s) {
     h ^= static_cast<uint8_t>(c);
     h *= 1099511628211ULL;  // FNV prime
   }
-  // splitmix64 finalizer. Raw FNV-1a diffuses short, near-identical keys
-  // (tenant_00, tenant_01, ...) into one narrow hash range, which parks
-  // every such tenant on the same ring arc; the avalanche spreads them.
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
+  // Raw FNV-1a diffuses short, near-identical keys (tenant_00,
+  // tenant_01, ...) into one narrow hash range, which parks every such
+  // tenant on the same ring arc; the splitmix64 avalanche spreads them.
+  return util::SplitMix64Finalize(h);
 }
 
 ShardRing::ShardRing(int num_shards, int replicas)

@@ -14,17 +14,23 @@
 namespace qps {
 namespace util {
 
-/// SplitMix64 finalizer: a cheap, well-distributed 64-bit mixer.
-inline uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// SplitMix64's golden-ratio increment (its Weyl-sequence step).
+inline constexpr uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
+
+/// The splitmix64 finalizer alone: avalanches every bit of `z`. The one
+/// copy behind Mix64, Rng seeding, RetryPolicy jitter and TenantHash.
+inline uint64_t SplitMix64Finalize(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
 }
+
+/// One splitmix64 step from state `x`: a cheap, well-distributed mixer.
+inline uint64_t Mix64(uint64_t x) { return SplitMix64Finalize(x + kSplitMixGamma); }
 
 /// Folds `value` into a running hash (order-sensitive).
 inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
-  return Mix64(seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2)));
+  return Mix64(seed ^ (value + kSplitMixGamma + (seed << 6) + (seed >> 2)));
 }
 
 /// FNV-1a over bytes; stable across platforms.

@@ -4,67 +4,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+
+#include "util/string_util.h"
 
 namespace qps {
 namespace metrics {
-
-namespace {
-
-uint64_t DoubleBits(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double BitsDouble(uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-/// CAS-accumulates `delta` into a double stored as bits.
-void AtomicAddDouble(std::atomic<uint64_t>* bits, double delta) {
-  uint64_t old_bits = bits->load(std::memory_order_relaxed);
-  while (!bits->compare_exchange_weak(old_bits,
-                                      DoubleBits(BitsDouble(old_bits) + delta),
-                                      std::memory_order_relaxed,
-                                      std::memory_order_relaxed)) {
-  }
-}
-
-std::string FormatDouble(double v) {
-  if (!std::isfinite(v)) return "0";  // keep the JSON valid
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-/// Minimal JSON string escaping (metric names are dotted identifiers, but
-/// stay safe for arbitrary input).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-uint64_t Gauge::Encode(double v) { return DoubleBits(v); }
-double Gauge::Decode(uint64_t bits) { return BitsDouble(bits); }
 
 double Histogram::BucketUpperBound(int i) {
   // Bucket 0: [0, 1 µs); bucket i: [2^(i-1) µs, 2^i µs). Bounds in ms.
@@ -85,8 +29,13 @@ void Histogram::Record(double value_ms) {
   AtomicAddDouble(&sum_bits_, value_ms);
 }
 
-double Histogram::sum() const {
-  return BitsDouble(sum_bits_.load(std::memory_order_relaxed));
+void Histogram::AddTo(HistogramSnapshot* out) const {
+  if (out->buckets.empty()) out->buckets.assign(kNumBuckets + 1, 0);
+  for (int i = 0; i <= kNumBuckets; ++i) {
+    out->buckets[static_cast<size_t>(i)] += bucket_count(i);
+  }
+  out->count += count();
+  out->sum += sum();
 }
 
 void Histogram::Reset() {
@@ -153,11 +102,7 @@ Snapshot Registry::TakeSnapshot() const {
   for (const auto& [name, hist] : histograms_) {
     HistogramSnapshot hs;
     hs.name = name;
-    hs.count = hist->count();
-    hs.sum = hist->sum();
-    for (int i = 0; i <= Histogram::kNumBuckets; ++i) {
-      hs.buckets.push_back(hist->bucket_count(i));
-    }
+    hist->AddTo(&hs);
     snap.histograms.push_back(std::move(hs));
   }
   return snap;
@@ -199,7 +144,7 @@ std::string RenderJson(const Snapshot& snapshot) {
   for (const auto& [name, value] : snapshot.gauges) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + JsonEscape(name) + "\":" + FormatDouble(value);
+    out += "\"" + JsonEscape(name) + "\":" + JsonNumber(value);
   }
   out += "},\"histograms\":{";
   first = true;
@@ -207,18 +152,18 @@ std::string RenderJson(const Snapshot& snapshot) {
     if (!first) out += ",";
     first = false;
     out += "\"" + JsonEscape(h.name) + "\":{\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + FormatDouble(h.sum) +
-           ",\"mean\":" + FormatDouble(h.mean()) +
-           ",\"p50\":" + FormatDouble(h.Percentile(50)) +
-           ",\"p90\":" + FormatDouble(h.Percentile(90)) +
-           ",\"p99\":" + FormatDouble(h.Percentile(99));
+           ",\"sum\":" + JsonNumber(h.sum) +
+           ",\"mean\":" + JsonNumber(h.mean()) +
+           ",\"p50\":" + JsonNumber(h.Percentile(50)) +
+           ",\"p90\":" + JsonNumber(h.Percentile(90)) +
+           ",\"p99\":" + JsonNumber(h.Percentile(99));
     // Raw bucket counts plus their finite upper bounds (the final bucket
     // is the overflow), so scrapers and BENCH_*.json consumers re-derive
     // percentiles exactly instead of trusting the summary above.
     out += ",\"le\":[";
     for (int i = 0; i < Histogram::kNumBuckets; ++i) {
       if (i > 0) out += ",";
-      out += FormatDouble(Histogram::BucketUpperBound(i));
+      out += JsonNumber(Histogram::BucketUpperBound(i));
     }
     out += "],\"buckets\":[";
     for (size_t i = 0; i < h.buckets.size(); ++i) {

@@ -14,7 +14,9 @@
 // Naming convention: `qps.<subsystem>.<name>` (DESIGN.md §8). An event an
 // object owns (a request, a cache hit) is counted through an
 // obs::OwnedCounter, which feeds this registry and the owner's own stats in
-// one call. TakeSnapshot() copies every metric under the registration
+// one call. Counter and Histogram are also the slots of every windowed
+// series: obs/window.h keeps a ring of them and rotates a slot with its
+// Reset(). TakeSnapshot() copies every metric under the registration
 // mutex; RenderText/RenderJson format a snapshot for the qpsql \metrics
 // meta-command and the bench harnesses' EmitMetricsSnapshot
 // (QPS_METRICS_JSON_DIR).
@@ -23,6 +25,7 @@
 #define QPS_UTIL_METRICS_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -32,6 +35,18 @@
 
 namespace qps {
 namespace metrics {
+
+/// CAS-accumulates `delta` into a double stored as its bits: the one
+/// atomic double add, behind Histogram sums and obs::OwnedHistogram.
+inline void AtomicAddDouble(std::atomic<uint64_t>* bits, double delta) {
+  uint64_t old_bits = bits->load(std::memory_order_relaxed);
+  while (!bits->compare_exchange_weak(
+      old_bits, std::bit_cast<uint64_t>(std::bit_cast<double>(old_bits) + delta),
+      std::memory_order_relaxed, std::memory_order_relaxed)) {
+  }
+}
+
+struct HistogramSnapshot;
 
 /// Monotonically increasing integer (events, rows, fallbacks).
 class Counter {
@@ -49,12 +64,14 @@ class Counter {
 /// Last-write-wins double (epoch loss, learning rate, breaker state).
 class Gauge {
  public:
-  void Set(double v) { bits_.store(Encode(v), std::memory_order_relaxed); }
-  double value() const { return Decode(bits_.load(std::memory_order_relaxed)); }
+  void Set(double v) {
+    bits_.store(std::bit_cast<uint64_t>(v), std::memory_order_relaxed);
+  }
+  double value() const {
+    return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
+  }
 
  private:
-  static uint64_t Encode(double v);
-  static double Decode(uint64_t bits);
   std::atomic<uint64_t> bits_{0};
 };
 
@@ -69,12 +86,18 @@ class Histogram {
   void Record(double value_ms);
 
   int64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const;
+  double sum() const {
+    return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
+  }
   /// Upper bound of finite bucket `i` in ms (i in [0, kNumBuckets)).
   static double BucketUpperBound(int i);
   int64_t bucket_count(int i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
+
+  /// Adds this histogram's buckets, count and sum into `out`, sizing its
+  /// buckets first when empty (a registry snapshot, a window merge).
+  void AddTo(HistogramSnapshot* out) const;
 
   void Reset();
 

@@ -4,18 +4,12 @@
 
 #include <algorithm>
 
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace qps {
 
 namespace {
-
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
@@ -23,7 +17,7 @@ uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 void Rng::Seed(uint64_t seed) {
   uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64(&sm);
+  for (auto& s : s_) s = util::SplitMix64Finalize(sm += util::kSplitMixGamma);
   have_cached_normal_ = false;
 }
 

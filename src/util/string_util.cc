@@ -67,4 +67,29 @@ std::string FormatSig(double v, int digits) {
   return StrFormat("%.*g", digits, v);
 }
 
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+std::string JsonNumber(double v) {
+  if (!std::isfinite(v)) return "0";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
 }  // namespace qps

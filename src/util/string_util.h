@@ -1,6 +1,8 @@
 // Copyright 2026 The QPSeeker Authors
 //
-// Small string helpers shared across modules (formatting, splitting).
+// Small string helpers shared across modules (formatting, splitting), and
+// the two JSON primitives every exporter writes with: metrics::RenderJson,
+// obs::RenderObsJson, obs::RenderAuditJson and trace::RenderChromeJson.
 
 #ifndef QPS_UTIL_STRING_UTIL_H_
 #define QPS_UTIL_STRING_UTIL_H_
@@ -30,6 +32,14 @@ bool StartsWith(const std::string& s, const std::string& prefix);
 
 /// Formats a double with `digits` significant digits (for report tables).
 std::string FormatSig(double v, int digits = 4);
+
+/// Escapes `s` for the inside of a JSON string: `"` and `\` get a
+/// backslash, control characters become \u00XX.
+std::string JsonEscape(const std::string& s);
+
+/// `v` as a JSON number with `%.6g`; a non-finite value writes 0, so the
+/// document stays valid.
+std::string JsonNumber(double v);
 
 }  // namespace qps
 

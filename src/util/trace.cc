@@ -2,13 +2,13 @@
 
 #include "util/trace.h"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
 
 #include "util/clock.h"
 #include "util/metrics.h"
+#include "util/string_util.h"
 
 namespace qps {
 namespace trace {
@@ -146,28 +146,6 @@ std::vector<SpanRecord> Snapshot() {
   std::lock_guard<std::mutex> lock(collector.mu);
   return collector.spans;
 }
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string RenderChromeJson() {
   const std::vector<SpanRecord> spans = Snapshot();

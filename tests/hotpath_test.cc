@@ -230,20 +230,18 @@ class HotPathTest : public ::testing::Test {
   }
 
   /// Batched inference against the autograd reference, plan by plan. Both
-  /// read their node inputs from the one featurizer; they may differ only
-  /// in the rounding of the layers downstream of it.
+  /// read their node inputs from the one featurizer and run the same f32
+  /// layer arithmetic, so they agree bit for bit: a skew in any input or
+  /// layer, however small, is a failure.
   static void ExpectBatchedMatchesReference(const QpSeeker& seeker, const query::Query& q,
                                             const std::vector<const query::PlanNode*>& plans) {
     const auto batched = seeker.PredictPlansBatch(q, plans);
     ASSERT_EQ(batched.size(), plans.size());
     for (size_t i = 0; i < plans.size(); ++i) {
       const auto ref = seeker.PredictPlanReference(q, *plans[i]);
-      const double tol_card = 1e-5 * std::max(1.0, std::abs(ref.cardinality));
-      const double tol_cost = 1e-5 * std::max(1.0, std::abs(ref.cost));
-      const double tol_rt = 1e-5 * std::max(1.0, std::abs(ref.runtime_ms));
-      EXPECT_NEAR(batched[i].cardinality, ref.cardinality, tol_card) << "plan " << i;
-      EXPECT_NEAR(batched[i].cost, ref.cost, tol_cost) << "plan " << i;
-      EXPECT_NEAR(batched[i].runtime_ms, ref.runtime_ms, tol_rt) << "plan " << i;
+      EXPECT_EQ(batched[i].cardinality, ref.cardinality) << "plan " << i;
+      EXPECT_EQ(batched[i].cost, ref.cost) << "plan " << i;
+      EXPECT_EQ(batched[i].runtime_ms, ref.runtime_ms) << "plan " << i;
     }
   }
 
@@ -264,9 +262,10 @@ class HotPathTest : public ::testing::Test {
 
 // Every branch of the node featurizer, in the default model and under each
 // ablation (TabSketch representation zeroed, plain concatenation instead of
-// attention, deterministic head instead of the VAE): the candidate plans of
-// one query, and one-node plans (a root leaf, which attention does not
-// attend) over a filtered column and over a table [CLS].
+// attention, deterministic head instead of the VAE): on the candidate plans
+// of one query, and on one-node plans (a root leaf, which attention does not
+// attend) over a filtered column and over a table [CLS], batched inference
+// equals the autograd reference bit for bit.
 TEST_F(HotPathTest, BatchedForwardMatchesAutogradReference) {
   int qid = 0;
   const auto plans = PlansOfFirstQuery(&qid);

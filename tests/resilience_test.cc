@@ -165,21 +165,13 @@ TEST(HealthMonitorTest, AbandonedProbeReleasesTheSlot) {
   EXPECT_EQ(monitor.state("t"), HealthState::kHalfOpen);
 }
 
-TEST(HealthMonitorTest, TimeoutClassificationIsConfigurable) {
+TEST(HealthMonitorTest, TimeoutsCountAsFailures) {
   ManualClock clock;
-  HealthOptions lenient = SmallWindow(&clock);
-  lenient.timeouts_are_failures = false;
-  HealthMonitor monitor(lenient);
-  for (int i = 0; i < 8; ++i) {
+  HealthMonitor monitor(SmallWindow(&clock));
+  for (int i = 0; i < 4; ++i) {
     monitor.Record("t", Status::DeadlineExceeded("late"), /*probe=*/false);
   }
-  EXPECT_EQ(monitor.state("t"), HealthState::kClosed);
-
-  HealthMonitor strict(SmallWindow(&clock));
-  for (int i = 0; i < 4; ++i) {
-    strict.Record("t", Status::DeadlineExceeded("late"), /*probe=*/false);
-  }
-  EXPECT_EQ(strict.state("t"), HealthState::kOpen);
+  EXPECT_EQ(monitor.state("t"), HealthState::kOpen);
 }
 
 TEST(HealthMonitorTest, ObservedKeysNeverTransition) {

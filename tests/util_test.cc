@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 
+#include "core/plan_cache.h"
+#include "query/plan.h"
+#include "query/query.h"
+#include "serve/retry.h"
+#include "serve/tenant.h"
 #include "util/cancel.h"
 #include "util/clock.h"
 #include "util/fault.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/scale.h"
@@ -121,6 +128,68 @@ TEST(StatusOrDeathTest, ConstructionFromOkStatusFatalLogs) {
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
+}
+
+// Every user of the one splitmix64 finalizer (util/hash.h), pinned at the
+// values it produced before the hand copies were folded into it: shard
+// placement, retry schedules, prediction-cache keys and RNG streams must
+// not move when the mixing code does.
+TEST(HashPinTest, SplitMixUsersKeepTheirValues) {
+  EXPECT_EQ(serve::TenantHash(""), 0x552d3fb62b3c344fULL);
+  EXPECT_EQ(serve::TenantHash("tenant_00"), 0xe736984262c7e03dULL);
+  EXPECT_EQ(serve::TenantHash("tenant_01"), 0xcfc909dd2e894d9dULL);
+  EXPECT_EQ(serve::TenantHash("acme"), 0xb4f728aec83c4a7dULL);
+
+  serve::RetryPolicy retry;
+  retry.max_retries = 3;
+  EXPECT_EQ(retry.BackoffMs(1, 0), 1.93152799704851);
+  EXPECT_EQ(retry.BackoffMs(1, 42), 1.6599103928769201);
+  EXPECT_EQ(retry.BackoffMs(2, 0), 3.0528675431851955);
+  EXPECT_EQ(retry.BackoffMs(2, 42), 3.5572022605102775);
+  EXPECT_EQ(retry.BackoffMs(3, 0), 9.8835279126153139);
+  EXPECT_EQ(retry.BackoffMs(3, 42), 7.3767628660945501);
+
+  query::Query q;
+  q.relations = {{0, "a"}, {1, "b"}};
+  query::JoinPredicate join;
+  join.left_rel = 0;
+  join.left_column = 0;
+  join.right_rel = 1;
+  join.right_column = 1;
+  join.schema_edge = 0;
+  q.joins = {join};
+  const auto filter = [](int rel, int column, storage::CompareOp op, storage::Value v) {
+    query::FilterPredicate f;
+    f.rel = rel;
+    f.column = column;
+    f.op = op;
+    f.value = std::move(v);
+    return f;
+  };
+  q.filters = {filter(0, 2, storage::CompareOp::kLt, storage::Value::Int(7)),
+               filter(1, 3, storage::CompareOp::kEq, storage::Value::Str("x")),
+               filter(1, 4, storage::CompareOp::kGe, storage::Value::Float(2.5))};
+  EXPECT_EQ(core::QueryFingerprint(q), 0xc23cd496853b028eULL);
+
+  query::PlanNode plan;
+  plan.op = query::OpType::kHashJoin;
+  plan.join_preds = {0};
+  plan.left = std::make_unique<query::PlanNode>();
+  plan.left->rel = 0;
+  plan.right = std::make_unique<query::PlanNode>();
+  plan.right->op = query::OpType::kIndexScan;
+  plan.right->rel = 1;
+  EXPECT_EQ(core::PlanShapeHash(plan), 0x9b291b8b38182d26ULL);
+  EXPECT_EQ(core::PlanShapeHash(*plan.left), 0x9210087ce6725de1ULL);
+
+  Rng seeded(7);
+  EXPECT_EQ(seeded.Next(), 0xb358faf74ef9765aULL);
+  EXPECT_EQ(seeded.Next(), 0x475c3d964f482cd2ULL);
+  EXPECT_EQ(seeded.Next(), 0xd6f1d349952c7996ULL);
+  EXPECT_EQ(Rng().Next(), 0x422ea740d0977210ULL);
+
+  EXPECT_EQ(util::Mix64(1), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(util::HashCombine(1, 2), 0xa3efbcce2e044f84ULL);
 }
 
 TEST(RngTest, DifferentSeedsDiffer) {
